@@ -6,6 +6,7 @@
 #ifndef SRC_BASE_CPUMASK_H_
 #define SRC_BASE_CPUMASK_H_
 
+#include <bit>
 #include <cstdint>
 
 #include "src/base/check.h"
@@ -68,23 +69,25 @@ class CpuMask {
   }
 
   // First set CPU, or -1 when empty.
-  int First() const {
-    for (int i = 0; i < kWords; ++i) {
-      if (words_[i] != 0) {
-        return i * 64 + __builtin_ctzll(words_[i]);
-      }
-    }
-    return -1;
-  }
+  int First() const { return NextAfter(-1); }
 
-  // Next set CPU strictly after `cpu`, or -1.
+  // Next set CPU strictly after `cpu`, or -1. Word-wise: masks off the bits
+  // at or below `cpu` in its word, then takes the lowest set bit of the first
+  // non-zero word, so a full 256-CPU walk costs one ctz per set bit.
   int NextAfter(int cpu) const {
-    for (int i = cpu + 1; i < kMaxCpus; ++i) {
-      if (Test(i)) {
-        return i;
-      }
+    const int from = cpu < 0 ? 0 : cpu + 1;
+    if (from >= kMaxCpus) {
+      return -1;
     }
-    return -1;
+    int w = from / 64;
+    uint64_t bits = words_[w] & (~0ull << (from % 64));
+    while (bits == 0) {
+      if (++w == kWords) {
+        return -1;
+      }
+      bits = words_[w];
+    }
+    return w * 64 + std::countr_zero(bits);
   }
 
   CpuMask Intersect(const CpuMask& other) const {

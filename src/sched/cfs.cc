@@ -6,6 +6,7 @@ namespace enoki {
 
 void CfsClass::Attach(SchedCore* core) {
   SchedClass::Attach(core);
+  ENOKI_CHECK(core->ncpus() <= CpuMask::kMaxCpus);
   rqs_.resize(static_cast<size_t>(core->ncpus()));
 }
 
@@ -22,13 +23,18 @@ void CfsClass::Enqueue(int cpu, Task* t, Entity& e) {
   e.queued = true;
   e.running = false;
   rqs_[cpu].tree.emplace(e.vruntime, t);
+  queued_.Set(cpu);
 }
 
 void CfsClass::Dequeue(Task* t, Entity& e) {
   if (!e.queued) {
     return;
   }
-  rqs_[e.cpu].tree.erase_one(e.vruntime, t);
+  auto& tree = rqs_[e.cpu].tree;
+  tree.erase_one(e.vruntime, t);
+  if (tree.empty()) {
+    queued_.Clear(e.cpu);
+  }
   e.queued = false;
 }
 
@@ -148,6 +154,9 @@ Task* CfsClass::PickNextTask(int cpu) {
   Entity& e = Ent(t);
   rq.min_vruntime = std::max(rq.min_vruntime, rq.tree.front().first);
   rq.tree.pop_front();
+  if (rq.tree.empty()) {
+    queued_.Clear(cpu);
+  }
   e.queued = false;
   e.running = true;
   e.slice_start_runtime = e.last_runtime;
@@ -213,19 +222,17 @@ void CfsClass::TaskTick(int cpu, Task* t) {
 }
 
 bool CfsClass::PullOne(int cpu, bool newidle) {
-  const int ncpus = core_->ncpus();
   const int node = core_->NodeOf(cpu);
   int busiest = -1;
   size_t busiest_len = 0;
   bool busiest_cross_node = false;
-  for (int c = 0; c < ncpus; ++c) {
+  // Ascending CPU order over the non-empty queues only: the same candidates,
+  // visited in the same order, as a scan of every CPU.
+  for (int c = queued_.First(); c >= 0; c = queued_.NextAfter(c)) {
     if (c == cpu) {
       continue;
     }
     const size_t len = rqs_[c].tree.size();
-    if (len == 0) {
-      continue;
-    }
     if (core_->CpuKickPending(c)) {
       // That CPU is already exiting idle to run its queue; pulling now
       // would race the wakeup IPI (and on real hardware, lose).

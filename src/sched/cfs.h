@@ -17,6 +17,7 @@
 
 #include <vector>
 
+#include "src/base/cpumask.h"
 #include "src/base/flat_multimap.h"
 #include "src/sched/nice_weights.h"
 #include "src/simkernel/sched_class.h"
@@ -49,6 +50,8 @@ class CfsClass : public SchedClass {
   void AffinityChanged(Task* t) override;
 
   size_t QueueDepth(int cpu) const { return rqs_[cpu].tree.size(); }
+  // CPUs with a non-empty queue (QueueDepth > 0).
+  const CpuMask& queued_cpus() const { return queued_; }
   uint64_t migrations() const { return migrations_; }
 
  private:
@@ -88,6 +91,10 @@ class CfsClass : public SchedClass {
   bool PullOne(int cpu, bool newidle);
 
   std::vector<CfsRq> rqs_;
+  // CPUs whose tree is non-empty, kept in step with every tree mutation
+  // (Enqueue, Dequeue, the pop in PickNextTask) so PullOne visits only
+  // CPUs with queued work instead of scanning the whole machine.
+  CpuMask queued_;
   std::vector<Entity> entities_;  // indexed by pid
   uint64_t migrations_ = 0;
 };

@@ -356,6 +356,46 @@ TEST(CpuMask, NextAfterIterates) {
   EXPECT_EQ(m.NextAfter(70), -1);
 }
 
+TEST(CpuMask, WordWiseIterationMatchesBitByBitReference) {
+  // Reference: the next set bit found by testing one CPU at a time.
+  auto ref_next = [](const CpuMask& m, int cpu) {
+    for (int i = cpu + 1; i < CpuMask::kMaxCpus; ++i) {
+      if (m.Test(i)) {
+        return i;
+      }
+    }
+    return -1;
+  };
+  const int edges[] = {0, 63, 64, 127, 128, 255};
+  Rng rng(7);
+  for (int trial = 0; trial < 400; ++trial) {
+    CpuMask m;
+    // Densities from empty to nearly full, plus the word-boundary CPUs.
+    const int density = trial % 9;
+    for (int cpu = 0; cpu < CpuMask::kMaxCpus; ++cpu) {
+      if (density > 0 && static_cast<int>(rng.Next() % 8) < density - 1) {
+        m.Set(cpu);
+      }
+    }
+    for (int e : edges) {
+      if (rng.Next() % 2 == 0) {
+        m.Set(e);
+      }
+    }
+    EXPECT_EQ(m.First(), ref_next(m, -1)) << trial;
+    for (int cpu = -1; cpu < CpuMask::kMaxCpus; ++cpu) {
+      ASSERT_EQ(m.NextAfter(cpu), ref_next(m, cpu)) << trial << " after " << cpu;
+    }
+  }
+  for (int e : edges) {
+    const CpuMask m = CpuMask::Single(e);
+    EXPECT_EQ(m.First(), e);
+    EXPECT_EQ(m.NextAfter(e - 1), e);
+    EXPECT_EQ(m.NextAfter(e), -1);
+  }
+  EXPECT_EQ(CpuMask().First(), -1);
+}
+
 TEST(CpuMask, IntersectAndWords) {
   CpuMask a = CpuMask::All(10);
   CpuMask b = CpuMask::Single(4);

@@ -163,6 +163,140 @@ TEST(Cfs, WakeupPreemptionByVruntime) {
   EXPECT_LT(*wake_lat, Milliseconds(2));
 }
 
+// Builds CFS queue states on TwoNode16 (node 0 = CPUs 0-7, node 1 = 8-15)
+// and asks which CPU an idle pick on CPU 0 pulls from. Every CPU from 2 up
+// runs a pinned occupant; CPUs 0 and 1 stay idle, so tasks queued on CPU 1
+// leave its idle-exit kick pending. Queued tasks are created pinned to their
+// CPU and then given `affinity` (plus their own CPU), which does not move
+// them. The loop is not run after queueing, so the state stays as built.
+class CfsPull : public ::testing::Test {
+ protected:
+  static constexpr int kPuller = 0;
+  static constexpr int kNcpus = 16;
+
+  CfsPull() : sim_(MachineSpec::TwoNode16()) {
+    sim_.core.set_ticks_enabled(false);
+    for (int cpu = 2; cpu < kNcpus; ++cpu) {
+      sim_.core.CreateTaskOn("occupant",
+                             std::make_unique<CpuBoundBody>(Seconds(10), Seconds(10)), 0, 0,
+                             CpuMask::Single(cpu));
+    }
+    sim_.core.Start();
+    sim_.core.RunFor(Microseconds(100));
+  }
+
+  std::vector<Task*> Queue(int cpu, int n, CpuMask affinity = CpuMask::All(kNcpus)) {
+    std::vector<Task*> out;
+    for (int i = 0; i < n; ++i) {
+      Task* t = sim_.core.CreateTaskOn("q", std::make_unique<CpuBoundBody>(Seconds(1), Seconds(1)),
+                                       0, 0, CpuMask::Single(cpu));
+      affinity.Set(cpu);
+      sim_.core.SetTaskAffinity(t, affinity);
+      out.push_back(t);
+    }
+    return out;
+  }
+
+  // Runs CPU 0's idle pick; returns the CPU whose queue it pulled from, or
+  // -1 when nothing was pulled. `*pulled` receives the picked task.
+  int PullSource(Task** pulled = nullptr) {
+    std::vector<size_t> before(kNcpus);
+    for (int c = 0; c < kNcpus; ++c) {
+      before[c] = sim_.cfs.QueueDepth(c);
+    }
+    Task* t = sim_.cfs.PickNextTask(kPuller);
+    if (pulled != nullptr) {
+      *pulled = t;
+    }
+    if (t == nullptr) {
+      return -1;
+    }
+    int src = -1;
+    for (int c = 0; c < kNcpus; ++c) {
+      if (sim_.cfs.QueueDepth(c) + 1 == before[c]) {
+        EXPECT_EQ(src, -1) << "two queues shrank";
+        src = c;
+      }
+    }
+    return src;
+  }
+
+  void ExpectMaskMatchesDepths() {
+    for (int c = 0; c < kNcpus; ++c) {
+      EXPECT_EQ(sim_.cfs.queued_cpus().Test(c), sim_.cfs.QueueDepth(c) > 0) << "cpu " << c;
+    }
+  }
+
+  CfsSim sim_;
+};
+
+TEST_F(CfsPull, LongestSameNodeQueueWins) {
+  Queue(2, 1);
+  Queue(3, 3);
+  Queue(4, 2);
+  Queue(9, 5);  // longer, but across the node boundary
+  ExpectMaskMatchesDepths();
+  EXPECT_EQ(PullSource(), 3);
+  EXPECT_EQ(sim_.cfs.migrations(), 1u);
+}
+
+TEST_F(CfsPull, CrossNodeQueueBelowThresholdIsSkipped) {
+  static_assert(CfsClass::kNumaImbalanceThreshold == 2);
+  Queue(9, 1);
+  EXPECT_EQ(PullSource(), -1);
+  EXPECT_EQ(sim_.cfs.migrations(), 0u);
+  Queue(10, 2);
+  EXPECT_EQ(PullSource(), 10);
+}
+
+TEST_F(CfsPull, KickPendingCpuIsSkipped) {
+  Queue(1, 3);
+  ASSERT_TRUE(sim_.core.CpuKickPending(1));
+  Queue(2, 1);
+  ASSERT_FALSE(sim_.core.CpuKickPending(2));
+  EXPECT_EQ(PullSource(), 2);
+}
+
+TEST_F(CfsPull, AffinityFilterApplies) {
+  CpuMask not_puller = CpuMask::All(kNcpus);
+  not_puller.Clear(kPuller);
+  const std::vector<Task*> eligible = Queue(3, 1);
+  Queue(3, 2, not_puller);  // the two rightmost entities may not run on CPU 0
+  Task* pulled = nullptr;
+  EXPECT_EQ(PullSource(&pulled), 3);
+  EXPECT_EQ(pulled, eligible[0]);
+  EXPECT_EQ(sim_.cfs.QueueDepth(3), 2u);
+}
+
+TEST_F(CfsPull, MaskClearedAfterLastPopAndDequeue) {
+  Queue(2, 1);
+  EXPECT_EQ(sim_.cfs.queued_cpus(), CpuMask::Single(2));
+  // The pull dequeues CPU 2's only task (clears bit 2) and the pick pops it
+  // off CPU 0's queue right after enqueueing it there (clears bit 0).
+  EXPECT_EQ(PullSource(), 2);
+  EXPECT_TRUE(sim_.cfs.queued_cpus().Empty());
+  ExpectMaskMatchesDepths();
+}
+
+TEST(Cfs, QueuedMaskTracksDepthsThroughARun) {
+  CfsSim sim(MachineSpec::TwoNode16());
+  for (int i = 0; i < 40; ++i) {
+    sim.core.CreateTask("t", std::make_unique<CpuBoundBody>(Milliseconds(3 + i % 7),
+                                                            Microseconds(300 + 50 * (i % 5))),
+                        0);
+  }
+  sim.core.Start();
+  for (int step = 0; step < 200 && sim.core.live_task_count() > 0; ++step) {
+    sim.core.RunFor(Microseconds(250));
+    for (int c = 0; c < 16; ++c) {
+      ASSERT_EQ(sim.cfs.queued_cpus().Test(c), sim.cfs.QueueDepth(c) > 0)
+          << "step " << step << " cpu " << c;
+    }
+  }
+  EXPECT_EQ(sim.core.live_task_count(), 0u);
+  EXPECT_GT(sim.cfs.migrations(), 0u);
+}
+
 // ---- Enoki WFQ ----
 
 TEST(Wfq, EqualSharesOnOneCore) {
