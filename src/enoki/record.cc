@@ -71,7 +71,7 @@ std::vector<RecordEntry> FlightRecorder::Tail(size_t max_entries) const {
   std::vector<RecordEntry> out;
   out.reserve(n);
   for (uint64_t i = seq_ - n; i < seq_; ++i) {
-    out.push_back(ring_[i % ring_.size()]);
+    out.push_back(ring_[i & mask_]);
   }
   return out;
 }

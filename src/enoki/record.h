@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/base/ring_buffer.h"
 #include "src/base/time.h"
 #include "src/enoki/lock.h"
@@ -88,13 +89,18 @@ struct RecordEntry {
 // a fixed-size in-kernel ring is free at this model's granularity).
 class FlightRecorder {
  public:
-  explicit FlightRecorder(size_t capacity = 64) : ring_(capacity) {}
+  // Capacity must be a power of two: Append indexes the ring with a mask.
+  explicit FlightRecorder(size_t capacity = 64) : ring_(capacity), mask_(capacity - 1) {
+    ENOKI_CHECK_MSG(capacity > 0 && (capacity & mask_) == 0,
+                    "FlightRecorder capacity must be a power of two");
+  }
 
-  void Append(Time now, RecordEntry entry) {
-    entry.seq = ++seq_;
-    entry.time = now;
-    entry.kthread = GetCurrentKthread();
-    ring_[(seq_ - 1) % ring_.size()] = entry;
+  void Append(Time now, const RecordEntry& entry) {
+    RecordEntry& slot = ring_[seq_ & mask_];
+    slot = entry;
+    slot.seq = ++seq_;
+    slot.time = now;
+    slot.kthread = GetCurrentKthread();
   }
 
   // Oldest-to-newest snapshot of the retained tail, at most `max_entries`.
@@ -105,6 +111,7 @@ class FlightRecorder {
 
  private:
   std::vector<RecordEntry> ring_;
+  uint64_t mask_;
   uint64_t seq_ = 0;
 };
 

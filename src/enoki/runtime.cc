@@ -72,7 +72,7 @@ void EnokiRuntime::Charge(int cpu) {
   core_->ChargeCpu(cpu, cost);
 }
 
-void EnokiRuntime::Record(RecordEntry entry) {
+void EnokiRuntime::Record(const RecordEntry& entry) {
   // The flight ring is always on: it is what lets a CrashReport carry the
   // module's last calls even when full recording is disabled.
   flight_.Append(core_->now(), entry);

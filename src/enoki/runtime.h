@@ -220,7 +220,7 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   // Validates a token a module returned for running on `cpu`.
   bool ValidateForRun(const Schedulable& s, int cpu, Task** out_task) const;
   void Charge(int cpu);
-  void Record(RecordEntry entry);
+  void Record(const RecordEntry& entry);
   void DrainHints();
 
   // Runs one module callback with the containment boundary around it:

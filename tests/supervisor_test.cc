@@ -249,6 +249,14 @@ TEST(FlightRecorder, KeepsBoundedTailInOrder) {
   EXPECT_EQ(tail.back().pid, 100u);
   // Asking for more than the capacity returns at most the capacity.
   EXPECT_EQ(fr.Tail(64).size(), 8u);
+  // Stamps come from the recorder, not from the appended entry.
+  EXPECT_EQ(tail.back().seq, 100u);
+  EXPECT_EQ(tail.back().time, 100);
+}
+
+TEST(FlightRecorderDeathTest, RejectsNonPowerOfTwoCapacity) {
+  EXPECT_DEATH(FlightRecorder(48), "power of two");
+  EXPECT_DEATH(FlightRecorder(0), "power of two");
 }
 
 // ---- ModuleSupervisor policy ----
