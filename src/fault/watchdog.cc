@@ -37,7 +37,9 @@ CrashReport Watchdog::BuildReport(TripReason reason, std::string detail, Time no
   report.balance_errors = balance_errors_;
   report.starved_pid = reason == TripReason::kStarvation ? starved_pid_ : 0;
   report.during_probation = in_probation_;
-  report.callback_stats = callback_stats_;
+  report.callback_count = callback_latency_.count();
+  report.callback_mean_ns = callback_latency_.mean_ns();
+  report.callback_max_ns = callback_latency_.max();
   report.callback_p50_ns = callback_latency_.Percentile(50.0);
   report.callback_p99_ns = callback_latency_.Percentile(99.0);
   return report;
@@ -56,9 +58,9 @@ std::string CrashReport::ToString() const {
                 escaped_exceptions, starved_pid);
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "  callbacks: n=%" PRIu64 " mean=%.1fns max=%.0fns p50=%" PRIu64 "ns p99=%" PRIu64
-                "ns\n",
-                callback_stats.count(), callback_stats.mean(), callback_stats.max(),
+                "  callbacks: n=%" PRIu64 " mean=%.1fns max=%" PRIu64 "ns p50=%" PRIu64
+                "ns p99=%" PRIu64 "ns\n",
+                callback_count, callback_mean_ns, static_cast<uint64_t>(callback_max_ns),
                 static_cast<uint64_t>(callback_p50_ns), static_cast<uint64_t>(callback_p99_ns));
   out += buf;
   std::snprintf(buf, sizeof(buf),

@@ -103,7 +103,9 @@ struct CrashReport {
   uint64_t starved_pid = 0;  // 0 unless reason == kStarvation
 
   // Per-callback simulated latency, aggregated across the module's life.
-  StatAccumulator callback_stats;
+  uint64_t callback_count = 0;
+  double callback_mean_ns = 0;
+  Duration callback_max_ns = 0;
   Duration callback_p50_ns = 0;
   Duration callback_p99_ns = 0;
 
@@ -144,7 +146,6 @@ class Watchdog {
 
   // A module callback completed, consuming `ns` of simulated time.
   TripReason OnCallbackLatency(Duration ns) {
-    callback_stats_.Record(static_cast<double>(ns));
     callback_latency_.Record(ns);
     return ns > effective_callback_budget() ? TripReason::kCallbackBudget : TripReason::kNone;
   }
@@ -226,7 +227,6 @@ class Watchdog {
   uint64_t balance_errors_ = 0;
   uint64_t starved_pid_ = 0;
   Duration starved_for_ = 0;
-  StatAccumulator callback_stats_;
   LatencyRecorder callback_latency_;
 
   bool in_probation_ = false;

@@ -136,7 +136,7 @@ TEST(Watchdog, TripsOnCallbackBudget) {
   EXPECT_EQ(out.report.reason, TripReason::kCallbackBudget);
   EXPECT_TRUE(out.completed);
   // The over-budget call is visible in the latency aggregates.
-  EXPECT_GE(out.report.callback_stats.max(), static_cast<double>(Milliseconds(20)));
+  EXPECT_GE(out.report.callback_max_ns, Milliseconds(20));
 }
 
 TEST(Watchdog, TripsOnRepeatedPickErrors) {
