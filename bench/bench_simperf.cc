@@ -26,7 +26,7 @@
 //                          optimisation round's target, one command away
 //
 // Besides throughput rows, every config emits prof_* subsystem counters
-// (src/base/profile.h): timing-wheel cascades, slab/arena growth, epoch
+// (src/base/profile.h): event-queue lane spills, slab/arena growth, epoch
 // barrier and controller decisions. Count-type prof rows are deterministic
 // and gated exactly by --check-against; *_ns rows are wall-clock profiling.
 //
@@ -135,15 +135,8 @@ struct GlobalCounterSnap {
 };
 
 void AppendWheelCounters(PerfResult* r, const WheelProfile& w) {
-  r->counters.emplace_back("prof_wheel_cascades", static_cast<double>(w.cascades));
-  r->counters.emplace_back("prof_wheel_bulk_cascades",
-                           static_cast<double>(w.bulk_cascades));
   r->counters.emplace_back("prof_wheel_lane_hits", static_cast<double>(w.lane_hits));
   r->counters.emplace_back("prof_wheel_lane_spills", static_cast<double>(w.lane_spills));
-  r->counters.emplace_back("prof_wheel_overflow_pulls",
-                           static_cast<double>(w.overflow_pulls));
-  r->counters.emplace_back("prof_wheel_behind_inserts",
-                           static_cast<double>(w.behind_inserts));
   r->counters.emplace_back("prof_wheel_slab_allocs", static_cast<double>(w.slab_allocs));
 }
 
@@ -620,7 +613,7 @@ int CheckAgainstBaseline(const std::vector<PerfResult>& results, const std::stri
     }
     // Subsystem profile counters: count-type prof_* rows are pure functions
     // of the simulation, so they are compared exactly — a drift does not just
-    // say "slower", it names the subsystem (wheel cascades, slab growth,
+    // say "slower", it names the subsystem (lane spills, slab growth,
     // arena chunks, epoch barriers, controller decisions) that regressed.
     // Wall-clock *_ns rows are host-dependent and skipped.
     for (const auto& [counter, value] : r.counters) {

@@ -1,8 +1,11 @@
 // Reproduces Table 2: lines of code per component. For the paper's Rust/C
 // split we report the corresponding components of this C++ reproduction and
-// print the paper's numbers alongside.
+// print the paper's numbers alongside. Paths are relative to the repository
+// root; run from anywhere else, the bench names the first file it cannot
+// open and exits 1.
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -12,7 +15,9 @@ namespace {
 int CountLines(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) {
-    return 0;
+    std::fprintf(stderr, "bench_table2_loc: cannot open %s (run from the repository root)\n",
+                 path.c_str());
+    std::exit(1);
   }
   int lines = 0;
   int c;
@@ -72,7 +77,6 @@ void Run() {
   for (const Row& r : scheds) {
     std::printf("%-50s %8d   paper: %s\n", r.component, r.loc, r.paper);
   }
-  std::printf("\n(Run from the repository root so relative paths resolve.)\n");
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 //
 // The simulator's hot path is deliberately allocation- and syscall-free, so
 // what remains to optimize hides in *cold-ish* paths that fire often enough
-// to matter: timing-wheel cascades, slab and arena growth, cross-shard merge
-// commits, epoch-barrier waits. Two kinds of counters cover them:
+// to matter: event-queue lane spills, slab and arena growth, cross-shard
+// merge commits, epoch-barrier waits. Two kinds of counters cover them:
 //
 //  - Local counters (WheelProfile, ShardProfile): plain uint64_t structs
 //    owned by single-threaded objects (an EventLoop is touched by exactly
@@ -18,11 +18,11 @@
 //
 // Counter semantics split into two classes, and consumers must respect the
 // split:
-//  - count-type counters (events, cascades, chunks, slabs, epochs, widens,
-//    narrows, commit messages) are pure functions of the simulation and are
-//    byte-identical across hosts and thread counts — CI gates them against
-//    a checked-in baseline so an alloc/cascade regression names the
-//    subsystem that regressed;
+//  - count-type counters (events, lane hits and spills, chunks, slabs,
+//    epochs, widens, narrows, commit messages) are pure functions of the
+//    simulation and are byte-identical across hosts and thread counts — CI
+//    gates them against a checked-in baseline so an alloc/placement
+//    regression names the subsystem that regressed;
 //  - *_ns counters (commit wall time, barrier wall time) are wall-clock and
 //    host-dependent — reported for profiling, never gated.
 //
@@ -40,21 +40,17 @@ namespace enoki {
 // Per-EventLoop cold-path counters. Single-threaded by the loop's own
 // contract; merged across shard loops by ShardedEventLoop::WheelProfileSum.
 struct WheelProfile {
-  uint64_t cascades = 0;        // buckets redistributed event-by-event
-  uint64_t bulk_cascades = 0;   // buckets spliced whole into the express lane
-  uint64_t lane_hits = 0;       // events scheduled straight into the lane
-  uint64_t lane_spills = 0;     // events past the lane horizon parked in the wheel
-  uint64_t overflow_pulls = 0;  // events pulled overflow-heap -> wheel
-  uint64_t behind_inserts = 0;  // events scheduled behind the wheel clock
-  uint64_t slab_allocs = 0;     // event-slab growths (also in GlobalCounters)
+  uint64_t lane_hits = 0;    // events scheduled straight into the lane
+  uint64_t lane_spills = 0;  // events past the lane horizon, in the heap
+  uint64_t slab_allocs = 0;  // event-slab growths (also in GlobalCounters)
+  // Always 0: the queue has no wheel to cascade and no behind-clock heap.
+  // Kept because the repository benchmark (perfbench/) still reports them.
+  uint64_t cascades = 0;
+  uint64_t behind_inserts = 0;
 
   void MergeFrom(const WheelProfile& o) {
-    cascades += o.cascades;
-    bulk_cascades += o.bulk_cascades;
     lane_hits += o.lane_hits;
     lane_spills += o.lane_spills;
-    overflow_pulls += o.overflow_pulls;
-    behind_inserts += o.behind_inserts;
     slab_allocs += o.slab_allocs;
   }
 };

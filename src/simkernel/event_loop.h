@@ -1,60 +1,36 @@
-// Deterministic discrete-event loop over a hierarchical timing wheel.
+// Deterministic discrete-event loop: an express lane plus one indexed heap.
 //
 // All simulated activity is driven by timestamped events. Ties are broken by
 // insertion sequence number so that simulation runs are reproducible
 // regardless of host platform or container ordering.
 //
-// The queue is the structure from Varghese & Lauck's "Hashed and Hierarchical
-// Timing Wheels" (SOSP '87) — the same shape as Linux's timer subsystem —
-// rather than a binary heap, because the simulator's workload is exactly the
-// kernel-timer workload: dense near-future ticks and hrtimers, frequently
-// cancelled (every compute segment and sleep arms a timer that a preemption
-// or wake may cancel). Design:
+// The simulator's workload is the kernel-timer workload: dense near-future
+// ticks and hrtimers, frequently cancelled (every compute segment and sleep
+// arms a timer that a preemption or wake may cancel). Design:
 //
-//  - a near-horizon *express lane* in front of the wheel: a power-of-two ring
-//    of 16384 slots, each one level-0 rotation (64 ns) wide, covering the
-//    next 2^20 ns. Profiling (prof_wheel_cascades was the top counter row on
-//    every config) showed the cascade loop dominated by short-deadline
-//    events — periodic ticks (1 ms), preemption timers, wakeup/IPI latencies,
-//    service completions — all of which fit under ~1 ms. Those events now
-//    schedule straight into their lane slot and never touch the wheel: no
-//    insert-level computation, no cascades, O(1) schedule and cancel
-//    preserved. Events past the horizon spill lazily into the wheel
-//    (prof_wheel_lane_spills) and re-enter the lane when their bucket drains.
-//  - kLevels levels of 64 buckets each; level L has 64^L-ns granularity, so
-//    the wheel spans 64^kLevels ns (~3.2 days of simulated time). Schedule
-//    and cancel are O(1); each event cascades down at most kLevels-1 times
-//    before it fires, so execution is amortized O(1) per event.
-//  - *bulk cascade*: when a drained bucket's whole range fits inside the lane
-//    horizon (the common case — any bucket being entered near the executed
-//    clock), the bucket is spliced into the lane in one pass
-//    (prof_wheel_bulk_cascades) instead of re-inserted event-by-event through
-//    intermediate levels. A spilled event therefore pays at most one hop
-//    (home level -> lane) rather than a kLevels-deep cascade chain.
-//  - deadline-class hints (DeadlineClass): callers that know an event's
-//    horizon class — SchedCore's periodic tick re-arm, policy timers via
-//    SchedClass::TimerDeadlineClass() — route placement directly (lane for
-//    near-horizon classes, home wheel level for far-periodic ones) instead of
-//    probing. Hints are promises about the common case, never correctness:
-//    a broken promise falls back to the probing path.
-//  - events beyond the wheel span wait in an overflow min-heap and are pulled
-//    into the wheel when their time comes within span.
-//  - the wheel clock (`wheel_now_`) may run ahead of executed time (`now_`)
-//    while locating the next event; the rare event scheduled behind the wheel
-//    clock (legal: anything >= now_) goes to a small "behind" min-heap that
-//    is merged by (time, seq) at staging, preserving exact ordering.
+//  - a near-horizon *express lane*: a power-of-two ring of 16384 slots, each
+//    64 ns wide, covering the next 2^20 ns. Periodic ticks (1 ms),
+//    preemption timers, wakeup/IPI latencies and service completions all fit
+//    under it, so they schedule straight into their slot and cancel by
+//    unlinking, both O(1). The lane takes over 90 % of events on every
+//    bench_simperf config (prof_wheel_lane_hits).
+//  - every other event (prof_wheel_lane_spills) goes into one binary min-heap
+//    ordered by (time, seq). The heap is *indexed*: each event records its
+//    heap position, so Cancel removes it in place in O(log n) and frees it
+//    at once. No tombstones exist outside the staged batch.
+//  - staging takes the earlier of the lane and heap minimums and moves every
+//    event at that time from both into one batch, sorted by seq.
 //  - Event records are intrusive, slab-pooled, and never move; callbacks live
 //    in an inline small-buffer InlineFunction, so the steady-state hot path
-//    performs no heap allocation per event. Cancel unlinks the event from its
-//    bucket in O(1) and destroys the callback (and anything it captured)
-//    eagerly — a cancelled closure does not linger until its timestamp.
+//    performs no heap allocation per event. Cancel destroys the callback (and
+//    anything it captured) eagerly — a cancelled closure does not linger
+//    until its timestamp.
 //  - EventIds encode (slot, generation), so stale ids (double cancel, cancel
-//    after fire) are detected and rejected, same contract as before.
+//    after fire) are detected and rejected.
 //
-// Observable ordering is bit-for-bit identical to the previous binary-heap
-// implementation: strictly nondecreasing time, insertion order within a
-// timestamp (verified by the differential fuzz test in
-// tests/event_loop_test.cc).
+// Observable ordering is that of a plain (time, seq) priority queue: strictly
+// nondecreasing time, insertion order within a timestamp (verified by the
+// differential fuzz test in tests/event_loop_test.cc).
 
 #ifndef SRC_SIMKERNEL_EVENT_LOOP_H_
 #define SRC_SIMKERNEL_EVENT_LOOP_H_
@@ -76,25 +52,13 @@ namespace enoki {
 using EventId = uint64_t;
 constexpr EventId kInvalidEventId = 0;
 
-// Horizon class a scheduling site may promise about its deadline. Hints are
-// routing advice, never correctness: a broken promise (a "near" event past
-// the lane horizon, a "far" timer inside it) just takes the other placement
-// path with identical observable ordering.
-enum class DeadlineClass : uint8_t {
-  kAuto,         // unknown: probe the express lane, spill to the wheel
-  kNearHorizon,  // promise: fires within EventLoop::kLaneSpanNs of now
-  kFarPeriodic,  // promise: periodic/far timer; skip the lane probe and
-                 // schedule straight into its home wheel level
-};
-
 class EventLoop {
  public:
   // Express-lane horizon: events within this many ns of now() schedule into
-  // the lane (O(1), cascade-free). Sized so the cost-model's short deadlines
-  // — 1 ms periodic ticks, wake/IPI/context latencies, service completions —
-  // and the bulk of open-loop arrival gaps all fit (profiled: these dominate
-  // prof_wheel_cascades). Public so callers (SchedCore tick re-arm) can pick
-  // DeadlineClass hints against the real horizon instead of a magic number.
+  // the lane (O(1) schedule and cancel); later ones go to the heap. Sized so
+  // the cost-model's short deadlines — 1 ms periodic ticks, wake/IPI/context
+  // latencies, service completions — and the bulk of open-loop arrival gaps
+  // all fit.
   static constexpr Time kLaneSpanNs = Time{1} << 20;  // ~1.05 simulated ms
 
   EventLoop() : lane_(kLaneSlots, nullptr), lane_words_(kLaneWords, 0) {}
@@ -107,17 +71,6 @@ class EventLoop {
   // can be passed to Cancel().
   template <typename F>
   EventId ScheduleAt(Time at, F&& cb) {
-    return ScheduleAtHint(at, DeadlineClass::kAuto, std::forward<F>(cb));
-  }
-
-  template <typename F>
-  EventId ScheduleAfter(Duration delay, F&& cb) {
-    return ScheduleAtHint(now_ + delay, DeadlineClass::kAuto, std::forward<F>(cb));
-  }
-
-  // Hinted variants: identical semantics, placement routed by `hint`.
-  template <typename F>
-  EventId ScheduleAtHint(Time at, DeadlineClass hint, F&& cb) {
     ENOKI_CHECK(at >= now_);
     Event* ev = AllocEvent();
     ev->at = at;
@@ -125,19 +78,25 @@ class EventLoop {
     ev->cancelled = false;
     ev->cb.Set(std::forward<F>(cb));
     ++live_events_;
-    Place(ev, hint);
+    if (LaneEligible(at)) {
+      ++profile_.lane_hits;
+      LaneInsert(ev);
+    } else {
+      ++profile_.lane_spills;
+      HeapPush(ev);
+    }
     return MakeId(ev);
   }
 
   template <typename F>
-  EventId ScheduleAfterHint(Duration delay, DeadlineClass hint, F&& cb) {
-    return ScheduleAtHint(now_ + delay, hint, std::forward<F>(cb));
+  EventId ScheduleAfter(Duration delay, F&& cb) {
+    return ScheduleAt(now_ + delay, std::forward<F>(cb));
   }
 
-  // Cancels a pending event in O(1) and destroys its callback immediately —
-  // captured state (shared_ptrs, task references) is released at cancel time,
-  // not when the cancelled timestamp is reached. Cancelling an already-fired
-  // or already-cancelled event is a checked error: callers own their ids.
+  // Cancels a pending event and destroys its callback immediately — captured
+  // state (shared_ptrs, task references) is released at cancel time, not
+  // when the cancelled timestamp is reached. Cancelling an already-fired or
+  // already-cancelled event is a checked error: callers own their ids.
   void Cancel(EventId id) {
     ENOKI_CHECK(id != kInvalidEventId);
     Event* ev = LookupLive(id);
@@ -145,27 +104,25 @@ class EventLoop {
     ENOKI_CHECK(live_events_ > 0);
     --live_events_;
     ev->cb.Reset();  // eager: the closure dies now
-    if (ev->where == Where::kLane) {
-      // Removing the (possibly sole) earliest lane event moves the lane
-      // minimum; the wheel cache is untouched by lane membership.
-      if (lane_peek_valid_ && ev->at <= lane_peek_cache_) {
-        lane_peek_valid_ = false;
-      }
-      UnlinkFromLane(ev);
-      FreeEvent(ev);
-      return;
-    }
-    // Removing the (possibly sole) earliest event moves the wheel minimum.
-    if (wheel_peek_valid_ && ev->at <= wheel_peek_cache_) {
-      wheel_peek_valid_ = false;
-    }
-    if (ev->where == Where::kBucket) {
-      UnlinkFromBucket(ev);
-      FreeEvent(ev);
-    } else {
-      // Heap-resident or staged events cannot be unlinked from the middle of
-      // their container; leave a callback-free tombstone to be skipped.
-      ev->cancelled = true;
+    switch (ev->where) {
+      case Where::kLane:
+        // Removing the (possibly sole) earliest lane event moves the lane
+        // minimum.
+        if (lane_peek_valid_ && ev->at <= lane_peek_cache_) {
+          lane_peek_valid_ = false;
+        }
+        UnlinkFromLane(ev);
+        FreeEvent(ev);
+        return;
+      case Where::kHeap:
+        HeapRemove(ev);
+        FreeEvent(ev);
+        return;
+      default:
+        // A staged event cannot be unlinked from the middle of due_; leave a
+        // callback-free tombstone to be skipped.
+        ev->cancelled = true;
+        return;
     }
   }
 
@@ -181,13 +138,7 @@ class EventLoop {
     if (due_pos_ < due_.size()) {
       return due_[due_pos_]->at;
     }
-    PurgeHeapTop(&behind_);
-    // WheelPeek first: entering a bucket's range may splice it into the
-    // lane, so the lane minimum is only meaningful after the wheel scan.
-    const Time wheel_t = WheelPeek();
-    const Time lane_t = LanePeek();
-    const Time behind_t = behind_.empty() ? kTimeMax : behind_.front()->at;
-    return std::min({wheel_t, lane_t, behind_t});
+    return std::min(LanePeek(), HeapPeek());
   }
 
   // Runs the earliest pending event. Returns false when the queue is empty.
@@ -244,42 +195,36 @@ class EventLoop {
 
   uint64_t events_executed() const { return executed_; }
 
-  // Cold-path frequency counters (cascades, overflow pulls, behind-clock
-  // inserts, demand slab growth). Pure functions of the simulation: identical
-  // across hosts and shard-thread counts, so they are CI-gateable.
+  // Placement and demand slab-growth counters. Pure functions of the
+  // simulation: identical across hosts and shard-thread counts, so they are
+  // CI-gateable.
   const WheelProfile& wheel_profile() const { return profile_; }
 
   // Grows the slab pool until at least `nevents` events can be allocated
-  // without further growth. Called once at Start() (sized from a workload
-  // hint) so steady state never pays a mid-run slab allocation; warming is
+  // without further growth, and reserves heap room for as many. Called once
+  // by the SchedCore constructor (sized from a workload hint) so steady
+  // state never pays a mid-run slab allocation or heap growth; warming is
   // deliberately not counted in wheel_profile().slab_allocs — that counter
   // names *demand* growth, which warming exists to eliminate.
   void WarmSlabs(size_t nevents) {
     while (free_slots_.size() < nevents) {
       GrowSlab();
     }
+    heap_.reserve(nevents);
   }
 
  private:
-  // 8 levels x 64 buckets: level L buckets are 64^L ns wide, total span
-  // 64^8 ns = 2^48 ns (~3.26 simulated days). Far enough that the overflow
-  // heap is effectively cold storage.
-  static constexpr int kLevelBits = 6;
-  static constexpr int kBucketsPerLevel = 1 << kLevelBits;  // 64
-  static constexpr int kLevels = 8;
-  static constexpr Time kWheelSpan = Time{1} << (kLevelBits * kLevels);
   static constexpr uint32_t kSlabBits = 8;
   static constexpr uint32_t kSlabSize = 1u << kSlabBits;  // events per slab
 
-  // Express lane: a ring of slots one level-0 rotation (64 ns) wide, so a
-  // slot never splits a level-0 bucket, covering exactly kLaneSpanNs. The
+  // Express lane: a ring of 64-ns slots covering exactly kLaneSpanNs. The
   // lane window is anchored to the *slot-aligned* executed clock — every
   // lane event satisfies LaneBase() <= at < LaneBase() + kLaneSpanNs — so a
   // slot index maps to exactly one 64-ns range within the window and the
   // circular scan from LaneSlotOf(now_) visits slots in time order. The
   // window only moves forward and all pending events are >= now_, so the
   // invariant survives every clock advance without relocation.
-  static constexpr int kLaneSlotBits = kLevelBits;  // 64 ns per slot
+  static constexpr int kLaneSlotBits = 6;  // 64 ns per slot
   static constexpr uint32_t kLaneSlots =
       static_cast<uint32_t>(Pow2Capacity<size_t{1} << 14, EventLoop>::value);
   static constexpr uint32_t kLaneWords = kLaneSlots / 64;  // occupancy bitmap
@@ -288,11 +233,9 @@ class EventLoop {
 
   enum class Where : uint8_t {
     kFree,
-    kLane,          // intrusive doubly-linked list in an express-lane slot
-    kBucket,        // intrusive doubly-linked list in a wheel bucket
-    kBehindHeap,    // scheduled behind the wheel clock
-    kOverflowHeap,  // beyond the wheel span
-    kStaged,        // in due_, about to execute
+    kLane,    // intrusive doubly-linked list in an express-lane slot
+    kHeap,    // heap_[heap_idx]
+    kStaged,  // in due_, about to execute
     kExecuting,
   };
 
@@ -303,10 +246,9 @@ class EventLoop {
     Event* next = nullptr;
     uint32_t slot = 0;
     uint32_t gen = 0;
+    uint32_t heap_idx = 0;
     Where where = Where::kFree;
     bool cancelled = false;
-    uint8_t level = 0;
-    uint8_t bucket = 0;
     InlineFunction<64> cb;
   };
 
@@ -365,42 +307,6 @@ class EventLoop {
       return nullptr;
     }
     return ev;
-  }
-
-  // Routes a fresh event into the lane, the behind-heap, or the wheel.
-  void Place(Event* ev, DeadlineClass hint) {
-    if (hint != DeadlineClass::kFarPeriodic) {
-      if (LaneEligible(ev->at)) {
-        ++profile_.lane_hits;
-        LaneInsert(ev);
-        return;
-      }
-      ++profile_.lane_spills;
-    }
-    if (ev->at < wheel_now_) {
-      ev->where = Where::kBehindHeap;
-      ++profile_.behind_inserts;
-      HeapPush(&behind_, ev);
-      return;
-    }
-    // The cached minimum came from a scan that cascaded every bucket whose
-    // range starts at or before it. An insert into such a bucket must
-    // force a rescan even when the event itself is later than the cached
-    // time — otherwise a cache-hit staging advances the wheel clock into
-    // the bucket's range with the event still parked at a high level,
-    // where the rotation labeling no longer describes it. Compare at
-    // bucket granularity: invalidate when the event's bucket range begins
-    // at or before the cached minimum.
-    if (wheel_peek_valid_) {
-      const int level = LevelFor(ev->at - wheel_now_);
-      const int shift = kLevelBits * level;
-      if (level >= kLevels
-              ? ev->at <= wheel_peek_cache_
-              : (ev->at >> shift) <= (wheel_peek_cache_ >> shift)) {
-        wheel_peek_valid_ = false;
-      }
-    }
-    InsertWheel(ev);
   }
 
   // ---- Express lane ----
@@ -472,10 +378,11 @@ class EventLoop {
     }
   }
 
-  // Earliest lane event time, or kTimeMax when the lane is empty. Cached for
-  // the same reason as WheelPeek; a slot is 64 ns wide, so the min within
-  // the first occupied slot needs one short list scan (lane events are
-  // unlinked on cancel, never tombstoned).
+  // Earliest lane event time, or kTimeMax when the lane is empty. Cached
+  // because peeking is the per-event hot path (RunOne and RunUntil both
+  // peek) and the bitmap scan would only rediscover the same slot. A slot is
+  // 64 ns wide, so the min within the first occupied slot needs one short
+  // list scan.
   Time LanePeek() {
     if (lane_peek_valid_) {
       return lane_peek_cache_;
@@ -510,234 +417,86 @@ class EventLoop {
     }
   }
 
-  // ---- Wheel ----
+  // ---- Indexed (time, seq) min-heap for lane spills ----
 
-  // Level for an event `delta` ns ahead of the wheel clock: the unique L with
-  // delta in [64^L, 64^(L+1)), i.e. floor(log64(delta)).
-  static int LevelFor(Time delta) {
-    return delta == 0 ? 0 : (std::bit_width(delta) - 1) / kLevelBits;
+  static bool Earlier(const Event* a, const Event* b) {
+    return a->at != b->at ? a->at < b->at : a->seq < b->seq;
   }
 
-  void InsertWheel(Event* ev) {
-    const Time delta = ev->at - wheel_now_;
-    const int level = LevelFor(delta);
-    if (level >= kLevels) {
-      ev->where = Where::kOverflowHeap;
-      HeapPush(&overflow_, ev);
-      return;
-    }
-    const int idx =
-        static_cast<int>((ev->at >> (kLevelBits * level)) & (kBucketsPerLevel - 1));
-    ev->where = Where::kBucket;
-    ev->level = static_cast<uint8_t>(level);
-    ev->bucket = static_cast<uint8_t>(idx);
-    ev->prev = nullptr;
-    ev->next = buckets_[level][idx];
-    if (ev->next != nullptr) {
-      ev->next->prev = ev;
-    }
-    buckets_[level][idx] = ev;
-    occupied_[level] |= uint64_t{1} << idx;
+  Time HeapPeek() const { return heap_.empty() ? kTimeMax : heap_.front()->at; }
+
+  void HeapSet(uint32_t i, Event* ev) {
+    heap_[i] = ev;
+    ev->heap_idx = i;
   }
 
-  void UnlinkFromBucket(Event* ev) {
-    if (ev->prev != nullptr) {
-      ev->prev->next = ev->next;
-    } else {
-      buckets_[ev->level][ev->bucket] = ev->next;
-      if (ev->next == nullptr) {
-        occupied_[ev->level] &= ~(uint64_t{1} << ev->bucket);
+  void SiftUp(uint32_t i) {
+    Event* ev = heap_[i];
+    while (i > 0) {
+      const uint32_t parent = (i - 1) / 2;
+      if (!Earlier(ev, heap_[parent])) {
+        break;
       }
+      HeapSet(i, heap_[parent]);
+      i = parent;
     }
-    if (ev->next != nullptr) {
-      ev->next->prev = ev->prev;
-    }
-    ev->prev = ev->next = nullptr;
+    HeapSet(i, ev);
   }
 
-  // Detaches a whole bucket, returning its head.
-  Event* TakeBucket(int level, int idx) {
-    Event* head = buckets_[level][idx];
-    buckets_[level][idx] = nullptr;
-    occupied_[level] &= ~(uint64_t{1} << idx);
-    return head;
-  }
-
-  bool WheelEmpty() const {
-    for (int l = 0; l < kLevels; ++l) {
-      if (occupied_[l] != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // Advances the wheel clock to the earliest pending wheel event, cascading
-  // higher-level buckets down as their ranges are entered, and returns that
-  // event's exact time (kTimeMax when the wheel and overflow are empty).
-  // After a non-kTimeMax return, the level-0 bucket for the returned time
-  // holds every wheel event at that time.
-  //
-  // The result is cached: peeking is the per-event hot path (RunOne and
-  // RunUntil both peek), and between mutations the cascaded wheel state
-  // cannot change, so the level scan would only rediscover the same bucket.
-  // The cache is dropped on any mutation that can move the minimum: an
-  // insert below it, a cancel at or below it, or staging consuming the
-  // minimum's bucket.
-  Time WheelPeek() {
-    if (wheel_peek_valid_) {
-      return wheel_peek_cache_;
-    }
+  void SiftDown(uint32_t i) {
+    Event* ev = heap_[i];
+    const uint32_t n = static_cast<uint32_t>(heap_.size());
     for (;;) {
-      PurgeHeapTop(&overflow_);
-      if (WheelEmpty()) {
-        if (overflow_.empty()) {
-          wheel_peek_cache_ = kTimeMax;
-          wheel_peek_valid_ = true;
-          return kTimeMax;
-        }
-        // Nothing earlier anywhere: jump the clock to the overflow head so
-        // the pull below lands it in the wheel.
-        wheel_now_ = overflow_.front()->at;
+      uint32_t child = 2 * i + 1;
+      if (child >= n) {
+        break;
       }
-      while (!overflow_.empty() && overflow_.front()->at - wheel_now_ < kWheelSpan) {
-        Event* ev = HeapPop(&overflow_);
-        if (ev->cancelled) {
-          FreeEvent(ev);
-          continue;
-        }
-        ++profile_.overflow_pulls;
-        InsertWheel(ev);
+      if (child + 1 < n && Earlier(heap_[child + 1], heap_[child])) {
+        ++child;
       }
+      if (!Earlier(heap_[child], ev)) {
+        break;
+      }
+      HeapSet(i, heap_[child]);
+      i = child;
+    }
+    HeapSet(i, ev);
+  }
 
-      // Earliest occupied bucket across levels; on a tied start time prefer
-      // the highest level so cascades happen before execution.
-      Time best_start = kTimeMax;
-      int best_level = -1;
-      int best_idx = -1;
-      for (int l = 0; l < kLevels; ++l) {
-        if (occupied_[l] == 0) {
-          continue;
-        }
-        const int shift = kLevelBits * l;
-        const int cur = static_cast<int>((wheel_now_ >> shift) & (kBucketsPerLevel - 1));
-        // Rotation labeling. Buckets at index > cur hold this rotation and
-        // ones at index < cur hold the next; index cur itself depends on
-        // where the clock sits inside the bucket's range. If wheel_now_ is
-        // exactly at the range start (aligned to this level's bucket width),
-        // the bucket was just entered — e.g. via a higher-level cascade to a
-        // coinciding range start — and has not been cascaded yet, so its
-        // events are this rotation (only inserts from a strictly-later clock
-        // can be next-rotation). Once the clock is mid-bucket the bucket has
-        // been cascaded empty, and anything in it now wrapped around.
-        const bool aligned = (wheel_now_ & ((Time{1} << shift) - 1)) == 0;
-        const uint64_t cur_rotation =
-            aligned ? occupied_[l] & (~uint64_t{0} << cur)
-                    : (cur == kBucketsPerLevel - 1
-                           ? 0
-                           : occupied_[l] & (~uint64_t{0} << (cur + 1)));
-        const Time rotation_base = (wheel_now_ >> (shift + kLevelBits)) << (shift + kLevelBits);
-        int idx;
-        Time start;
-        if (cur_rotation != 0) {
-          idx = std::countr_zero(cur_rotation);
-          start = rotation_base + (static_cast<Time>(idx) << shift);
-        } else {
-          idx = std::countr_zero(occupied_[l]);
-          start = rotation_base + (Time{1} << (shift + kLevelBits)) +
-                  (static_cast<Time>(idx) << shift);
-        }
-        if (start <= best_start) {  // <=: later (higher) level wins ties
-          best_start = start;
-          best_level = l;
-          best_idx = idx;
-        }
-      }
-      if (best_level < 0) {
-        continue;  // wheel drained by tombstone purge; retry via overflow
-      }
-      // Never advance the clock past a parked overflow event. The best
-      // wheel bucket can start up to two spans ahead (a next-rotation
-      // top-level bucket), while overflow holds anything ≥ one span ahead
-      // of its insert-time clock — which may be earlier than best_start by
-      // now. Advance only to the overflow head so the pull above brings it
-      // into the wheel, then rescan.
-      if (!overflow_.empty() && overflow_.front()->at < best_start) {
-        wheel_now_ = overflow_.front()->at;
-        continue;
-      }
-      ENOKI_CHECK(best_start >= wheel_now_);
-      if (best_level == 0) {
-        // Exact: level-0 buckets are 1 ns wide.
-        wheel_peek_cache_ = best_start;
-        wheel_peek_valid_ = true;
-        return best_start;
-      }
-      // Enter the bucket's range and redistribute it. Common case (bulk
-      // cascade): the bucket's whole range fits inside the lane window —
-      // every event in it is >= now_ and < the lane horizon — so the bucket
-      // is spliced into the lane in one pass and pays no further cascades.
-      // Otherwise fall back to per-event redistribution, still routing each
-      // lane-eligible event out of the wheel.
-      wheel_now_ = best_start;
-      Event* ev = TakeBucket(best_level, best_idx);
-      const Time width = Time{1} << (kLevelBits * best_level);
-      if (best_start + width <= LaneBase() + kLaneSpanNs) {
-        ++profile_.bulk_cascades;
-        while (ev != nullptr) {
-          Event* next = ev->next;
-          LaneInsert(ev);
-          ev = next;
-        }
-      } else {
-        ++profile_.cascades;
-        while (ev != nullptr) {
-          Event* next = ev->next;
-          if (LaneEligible(ev->at)) {
-            LaneInsert(ev);
-          } else {
-            InsertWheel(ev);
-          }
-          ev = next;
-        }
-      }
+  void HeapPush(Event* ev) {
+    ev->where = Where::kHeap;
+    heap_.push_back(ev);
+    SiftUp(static_cast<uint32_t>(heap_.size() - 1));
+  }
+
+  // Removes `ev` from wherever it sits: the last entry takes its place and
+  // moves up or down to restore heap order.
+  void HeapRemove(Event* ev) {
+    const uint32_t i = ev->heap_idx;
+    Event* last = heap_.back();
+    heap_.pop_back();
+    if (last != ev) {
+      HeapSet(i, last);
+      SiftUp(i);
+      SiftDown(last->heap_idx);
     }
   }
 
   // Stages every event at the globally earliest pending time into due_,
   // sorted by insertion seq. Returns false when no events are pending.
   bool StageNextBatch() {
-    PurgeHeapTop(&behind_);
-    // WheelPeek before LanePeek: bulk cascades move events into the lane.
-    const Time wheel_t = WheelPeek();
     const Time lane_t = LanePeek();
-    const Time behind_t = behind_.empty() ? kTimeMax : behind_.front()->at;
-    const Time t = std::min({wheel_t, lane_t, behind_t});
+    const Time t = std::min(lane_t, HeapPeek());
     if (t == kTimeMax) {
       return false;
-    }
-    if (wheel_t == t) {
-      wheel_now_ = t;  // safe: t is the minimum pending time
-      wheel_peek_valid_ = false;  // consuming the minimum's bucket
-      const int idx = static_cast<int>(t & (kBucketsPerLevel - 1));
-      for (Event* ev = TakeBucket(0, idx); ev != nullptr;) {
-        Event* next = ev->next;
-        ev->where = Where::kStaged;
-        ev->prev = ev->next = nullptr;
-        due_.push_back(ev);
-        ev = next;
-      }
     }
     if (lane_t == t) {
       lane_peek_valid_ = false;  // consuming the minimum's slot entries
       StageLane(t);
     }
-    while (!behind_.empty() && behind_.front()->at == t) {
-      Event* ev = HeapPop(&behind_);
-      if (ev->cancelled) {
-        FreeEvent(ev);
-        continue;
-      }
+    while (HeapPeek() == t) {
+      Event* ev = heap_.front();
+      HeapRemove(ev);
       ev->where = Where::kStaged;
       due_.push_back(ev);
     }
@@ -748,42 +507,7 @@ class EventLoop {
     return true;
   }
 
-  // ---- Binary heaps for the two cold paths (overflow, behind-clock) ----
-
-  struct EarlierPtr {
-    bool operator()(const Event* a, const Event* b) const {
-      // std::push_heap builds a max-heap; invert for min-at-front.
-      if (a->at != b->at) {
-        return a->at > b->at;
-      }
-      return a->seq > b->seq;
-    }
-  };
-
-  static void HeapPush(std::vector<Event*>* heap, Event* ev) {
-    heap->push_back(ev);
-    std::push_heap(heap->begin(), heap->end(), EarlierPtr{});
-  }
-
-  static Event* HeapPop(std::vector<Event*>* heap) {
-    std::pop_heap(heap->begin(), heap->end(), EarlierPtr{});
-    Event* ev = heap->back();
-    heap->pop_back();
-    return ev;
-  }
-
-  // Frees cancelled tombstones sitting at the heap front.
-  void PurgeHeapTop(std::vector<Event*>* heap) {
-    while (!heap->empty() && heap->front()->cancelled) {
-      FreeEvent(HeapPop(heap));
-    }
-  }
-
   Time now_ = 0;
-  Time wheel_now_ = 0;  // wheel clock; may run ahead of now_ (never ahead of
-                        // the earliest pending event)
-  Time wheel_peek_cache_ = 0;  // last WheelPeek() result, if still valid
-  bool wheel_peek_valid_ = false;
   uint64_t next_seq_ = 0;
   uint64_t live_events_ = 0;
   uint64_t executed_ = 0;
@@ -794,11 +518,8 @@ class EventLoop {
   Time lane_peek_cache_ = 0;  // last LanePeek() result, if still valid
   bool lane_peek_valid_ = false;
 
-  uint64_t occupied_[kLevels] = {};
-  Event* buckets_[kLevels][kBucketsPerLevel] = {};
-  std::vector<Event*> overflow_;
-  std::vector<Event*> behind_;
-  std::vector<Event*> due_;  // current same-timestamp batch, seq order
+  std::vector<Event*> heap_;  // lane spills, (at, seq) min-heap
+  std::vector<Event*> due_;   // current same-timestamp batch, seq order
   size_t due_pos_ = 0;
 
   std::vector<std::unique_ptr<Event[]>> slabs_;

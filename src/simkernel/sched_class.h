@@ -73,17 +73,6 @@ class SchedClass {
   // A policy timer armed via SchedCore::ArmClassTimer fired on `cpu`.
   virtual void TimerFired(int cpu) {}
 
-  // Horizon class of this policy's ArmClassTimer deadlines, used as the
-  // event loop's placement hint. Policies arming short pulse/preemption
-  // timers (the common case — every in-tree policy's timers are well under
-  // EventLoop::kLaneSpanNs) keep the default; a policy arming rare far
-  // periodic timers should return kFarPeriodic so they schedule straight
-  // into their home wheel level. A wrong answer costs a probe or a spill,
-  // never correctness.
-  virtual DeadlineClass TimerDeadlineClass() const {
-    return DeadlineClass::kNearHorizon;
-  }
-
   // The core's starvation detector found `t` runnable-but-not-run for
   // `runnable_ns`, exceeding the configured bound. Called at most once per
   // runnable episode of the task. Default: ignore (native schedulers are

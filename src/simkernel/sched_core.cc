@@ -82,16 +82,6 @@ void SchedCore::Start() {
   }
 }
 
-// Horizon class of the periodic tick's steady-state re-arm: known at
-// construction from the cost model, so every tick re-arm routes without a
-// probe — into the express lane for sub-horizon tick periods (the default
-// 1 ms fits), straight to its home wheel level otherwise.
-DeadlineClass SchedCore::TickDeadlineClass() const {
-  return static_cast<Time>(costs_.tick_ns) < EventLoop::kLaneSpanNs
-             ? DeadlineClass::kNearHorizon
-             : DeadlineClass::kFarPeriodic;
-}
-
 bool SchedCore::RunUntilAllExit(Time deadline) {
   while (loop_->now() < deadline && live_tasks_ > 0) {
     if (!loop_->RunOne()) {
@@ -249,7 +239,7 @@ void SchedCore::KickCpu(int cpu, int from_cpu) {
 }
 
 EventId SchedCore::ArmClassTimer(int cpu, Duration delay, SchedClass* cls) {
-  return loop_->ScheduleAfterHint(delay, cls->TimerDeadlineClass(), [this, cpu, cls] {
+  return loop_->ScheduleAfter(delay, [this, cpu, cls] {
     cls->TimerFired(cpu);
     CpuState& c = cpus_[cpu];
     if (c.need_resched && c.current != nullptr && !c.in_switch) {
@@ -535,8 +525,7 @@ void SchedCore::TickFired(int cpu) {
     // so classes get a balance/steal opportunity even with no local events.
     Schedule(cpu);
   }
-  c.tick_event = loop_->ScheduleAfterHint(costs_.tick_ns, TickDeadlineClass(),
-                                          [this, cpu] { TickFired(cpu); });
+  c.tick_event = loop_->ScheduleAfter(costs_.tick_ns, [this, cpu] { TickFired(cpu); });
 }
 
 void SchedCore::SetTaskPolicy(Task* t, int policy) {

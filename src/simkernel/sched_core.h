@@ -216,10 +216,6 @@ class SchedCore {
   EventId ArmClassTimer(int cpu, Duration delay, SchedClass* cls);
   void CancelClassTimer(EventId id) { loop_->Cancel(id); }
 
-  // Placement hint for the periodic tick's steady-state re-arm, derived from
-  // the cost model's tick period against the event loop's lane horizon.
-  DeadlineClass TickDeadlineClass() const;
-
   // Runtime of a task including its in-progress on-CPU segment.
   Duration TaskRuntime(const Task* t) const;
 

@@ -2,12 +2,12 @@
 // deterministic cross-shard merge.
 //
 // One simulation run is split into K shards, each owning a private EventLoop
-// (timing wheel + slab pool) and, by convention, one NUMA-node group of the
-// simulated machine (see MachineSpec::ShardSpec). Shards execute epochs in
-// parallel on up to T host threads; cross-shard interactions (wakeup on a
-// remote node, steal, IPI-like pulses) go through bounded per-shard
-// outboxes and are committed between epochs by a single deterministic merge
-// rule. The headline property is determinism-by-construction:
+// (express lane + heap + slab pool) and, by convention, one NUMA-node group
+// of the simulated machine (see MachineSpec::ShardSpec). Shards execute
+// epochs in parallel on up to T host threads; cross-shard interactions
+// (wakeup on a remote node, steal, IPI-like pulses) go through bounded
+// per-shard outboxes and are committed between epochs by a single
+// deterministic merge rule. The headline property is determinism-by-construction:
 //
 //   ENOKI_SHARD_THREADS=1..T produces byte-identical runs.
 //
@@ -262,7 +262,7 @@ class ShardedEventLoop {
     return p;
   }
 
-  // Sum of the per-shard wheel profiles (cascades, slab growth, ...).
+  // Sum of the per-shard queue profiles (lane hits and spills, slab growth).
   WheelProfile WheelProfileSum() const {
     WheelProfile sum;
     for (const auto& sh : shards_) {

@@ -1,17 +1,19 @@
-// EventLoop tests: differential fuzzing of the timing-wheel implementation
-// against the original binary-heap implementation, plus edge-case and
+// EventLoop tests: differential fuzzing of the express-lane + indexed-heap
+// queue against a plain std::priority_queue event loop, plus edge-case and
 // lifetime regression tests.
 //
-// The timing wheel must be observably indistinguishable from the heap it
-// replaced: same execution order (time, then insertion seq), same now()
-// trajectory, same events_executed()/HasWork() at every step. The fuzzer
-// drives both implementations through identical random op sequences —
-// schedules at deltas chosen to land in every wheel level, cancels,
-// RunOne/RunUntil/RunUntilIdle, and reentrant schedule/cancel from inside
-// callbacks — across many seeds and asserts lockstep equivalence.
+// The queue must be observably indistinguishable from the priority queue:
+// same execution order (time, then insertion seq), same now() trajectory,
+// same events_executed()/HasWork() at every step. The fuzzer drives both
+// implementations through identical random op sequences — schedules at
+// deltas chosen to land in the lane, across its spill edge and deep in the
+// heap, cancels, RunOne/RunUntil/RunUntilIdle, and reentrant schedule/cancel
+// from inside callbacks — across many seeds and asserts lockstep
+// equivalence.
 
 #include "src/simkernel/event_loop.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -20,6 +22,7 @@
 #include <random>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,8 +34,8 @@ namespace enoki {
 namespace {
 
 // ---- Reference implementation -------------------------------------------
-// Verbatim copy (renamed) of the std::priority_queue event loop this PR
-// replaced, kept as the ordering oracle for the differential test.
+// The simulator's original std::priority_queue event loop, kept as the
+// ordering oracle for the differential test.
 
 class LegacyEventLoop {
  public:
@@ -48,13 +51,6 @@ class LegacyEventLoop {
     queue_.push(Event{at, id, std::move(cb)});
     ++live_events_;
     return id;
-  }
-
-  // Hints are placement advice, never semantics: the heap oracle accepts and
-  // ignores them, so the differential fuzzer can hand the wheel arbitrary
-  // (including wrong) DeadlineClass hints and still demand identical output.
-  EventId ScheduleAtHint(Time at, DeadlineClass /*hint*/, Callback cb) {
-    return ScheduleAt(at, std::move(cb));
   }
 
   void Cancel(EventId id) {
@@ -160,17 +156,13 @@ struct Mirror {
   // Schedules top-level event `i` at `at`. A "busy" event also exercises the
   // reentrant path: on firing it schedules two children at now()+child_delta
   // and immediately cancels the second (schedule+cancel inside a callback).
-  // The hint is fuzzed independently of the delta, so kFarPeriodic lands on
-  // near events and kNearHorizon on far ones — broken promises must degrade
-  // to fallback placement, never to reordering.
-  void ScheduleTop(size_t i, Time at, bool busy, Time child_delta,
-                   DeadlineClass hint) {
+  void ScheduleTop(size_t i, Time at, bool busy, Time child_delta) {
     if (top_ids.size() <= i) {
       top_ids.resize(i + 1, kInvalidEventId);
       top_fired.resize(i + 1, false);
       top_cancelled.resize(i + 1, false);
     }
-    top_ids[i] = loop.ScheduleAtHint(at, hint, [this, i, busy, child_delta] {
+    top_ids[i] = loop.ScheduleAt(at, [this, i, busy, child_delta] {
       top_fired[i] = true;
       log.push_back("t" + std::to_string(i));
       log_times.push_back(loop.now());
@@ -207,27 +199,28 @@ void ExpectLockstep(const Mirror<A>& a, const Mirror<B>& b, uint64_t seed,
   ASSERT_EQ(a.log_times, b.log_times) << "seed=" << seed << " step=" << step;
 }
 
-// Deltas spanning every wheel level: same-time, level 0 (<64 ns), mid levels,
-// the top wheel level, and beyond the 2^48 ns span (overflow heap) — plus the
-// express-lane window: anywhere inside it (slot wraparound as the base
-// advances) and a tight band straddling the spill edge at kLaneSpanNs, where
-// an off-by-one in LaneEligible would misplace events.
+// Deltas spanning the lane and the heap: same-time, within one 64-ns lane
+// slot, a few slots, tick/IPC scale, multi-second and far-future heap
+// residents (2^40 and 2^49 ns) — plus the express-lane window: anywhere
+// inside it (slot wraparound as the base advances) and a tight band
+// straddling the spill edge at kLaneSpanNs, where an off-by-one in
+// LaneEligible would misplace events.
 Time RandomDelta(std::mt19937_64& rng) {
   switch (rng() % 10) {
     case 0:
       return 0;
     case 1:
-      return rng() % 64;                      // level 0
+      return rng() % 64;                      // one lane slot
     case 2:
-      return 64 + rng() % (4096 - 64);        // level 1
+      return 64 + rng() % (4096 - 64);        // a few lane slots
     case 3:
-      return rng() % 1'000'000;               // levels 0-3, tick/IPC scale
+      return rng() % 1'000'000;               // tick/IPC scale, lane
     case 4:
-      return rng() % 4'000'000'000ULL;        // multi-second sim time
+      return rng() % 4'000'000'000ULL;        // multi-second sim time, heap
     case 5:
-      return (Time{1} << 40) + rng() % 1024;  // high wheel level
+      return (Time{1} << 40) + rng() % 1024;  // far-future heap resident
     case 6:
-      return (Time{1} << 49) + rng() % 1024;  // overflow heap
+      return (Time{1} << 49) + rng() % 1024;  // farther still
     case 7:
       // Lane spill boundary: eligibility flips inside this band.
       return EventLoop::kLaneSpanNs - 600 + rng() % 1200;
@@ -241,7 +234,7 @@ Time RandomDelta(std::mt19937_64& rng) {
 void FuzzOneSeed(uint64_t seed) {
   std::mt19937_64 rng(seed);
   Mirror<LegacyEventLoop> legacy;
-  Mirror<EventLoop> wheel;
+  Mirror<EventLoop> queue;
   size_t next_top = 0;
 
   const int steps = 400;
@@ -252,44 +245,43 @@ void FuzzOneSeed(uint64_t seed) {
       const Time at = legacy.loop.now() + RandomDelta(rng);
       const bool busy = rng() % 4 == 0;
       const Time child_delta = rng() % 3 == 0 ? 0 : rng() % 1000;
-      const auto hint = static_cast<DeadlineClass>(rng() % 3);
       const size_t i = next_top++;
-      legacy.ScheduleTop(i, at, busy, child_delta, hint);
-      wheel.ScheduleTop(i, at, busy, child_delta, hint);
+      legacy.ScheduleTop(i, at, busy, child_delta);
+      queue.ScheduleTop(i, at, busy, child_delta);
     } else if (op < 60) {
       // Cancel a random live top-level event (both mirrors agree on
       // liveness, or ExpectLockstep already failed).
       std::vector<size_t> live;
       for (size_t i = 0; i < next_top; ++i) {
         if (!legacy.top_fired[i] && !legacy.top_cancelled[i]) {
-          ASSERT_FALSE(wheel.top_fired[i]);
+          ASSERT_FALSE(queue.top_fired[i]);
           live.push_back(i);
         }
       }
       if (!live.empty()) {
         const size_t pick = live[rng() % live.size()];
         legacy.CancelTop(pick);
-        wheel.CancelTop(pick);
+        queue.CancelTop(pick);
       }
     } else if (op < 85) {
       legacy.loop.RunOne();
-      wheel.loop.RunOne();
+      queue.loop.RunOne();
     } else if (op < 97) {
       const Time deadline = legacy.loop.now() + RandomDelta(rng);
       legacy.loop.RunUntil(deadline);
-      wheel.loop.RunUntil(deadline);
+      queue.loop.RunUntil(deadline);
     } else {
       legacy.loop.RunUntilIdle();
-      wheel.loop.RunUntilIdle();
+      queue.loop.RunUntilIdle();
     }
-    ExpectLockstep(legacy, wheel, seed, step);
+    ExpectLockstep(legacy, queue, seed, step);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
   }
   legacy.loop.RunUntilIdle();
-  wheel.loop.RunUntilIdle();
-  ExpectLockstep(legacy, wheel, seed, steps);
+  queue.loop.RunUntilIdle();
+  ExpectLockstep(legacy, queue, seed, steps);
 }
 
 TEST(EventLoopDifferential, MatchesLegacyAcrossSeeds) {
@@ -398,10 +390,11 @@ TEST(EventLoopLifetime, CancelDestroysCallbackEagerly) {
   EXPECT_EQ(loop.events_executed(), 1u);
 }
 
-// Same property for events parked in the overflow heap (beyond the wheel
-// span), which are tombstoned rather than unlinked: the callback must still
-// die at Cancel() time even though the record is reclaimed later.
-TEST(EventLoopLifetime, CancelDestroysOverflowCallbackEagerly) {
+// Same property for events past the lane horizon, which live in the heap:
+// cancel removes them from the middle of the heap, so the callback dies and
+// the record is reclaimed at Cancel() time — no tombstone holds a slot until
+// its timestamp — and the survivors still fire in (time, seq) order.
+TEST(EventLoopLifetime, CancelRemovesHeapEventEagerly) {
   struct Tracker {
     explicit Tracker(int* p) : live(p) { ++*live; }
     Tracker(const Tracker& o) : live(o.live) { ++*live; }
@@ -410,15 +403,50 @@ TEST(EventLoopLifetime, CancelDestroysOverflowCallbackEagerly) {
   };
 
   EventLoop loop;
+  loop.WarmSlabs(256);
   int live = 0;
   const EventId far = loop.ScheduleAt(Time{1} << 60, [t = Tracker(&live)] {
     FAIL() << "cancelled event ran";
     (void)t;
   });
+  ASSERT_EQ(loop.wheel_profile().lane_spills, 1u) << "event should be heap-resident";
   ASSERT_GT(live, 0);
   loop.Cancel(far);
   EXPECT_EQ(live, 0);
   EXPECT_FALSE(loop.HasWork());
+
+  // Schedule-then-cancel churn never grows the warmed pool: a tombstoning
+  // heap would keep every cancelled record's slot until its timestamp.
+  for (int i = 0; i < 10'000; ++i) {
+    loop.Cancel(loop.ScheduleAt(EventLoop::kLaneSpanNs + 1'000 + i, [] {}));
+  }
+  EXPECT_EQ(loop.wheel_profile().slab_allocs, 0u);
+  EXPECT_FALSE(loop.HasWork());
+
+  // Descending times in runs of three equal timestamps, every fifth one
+  // cancelled from wherever it sits in the heap.
+  std::vector<std::pair<Time, int>> expected;
+  std::vector<EventId> ids;
+  std::vector<int> fired;
+  for (int i = 0; i < 64; ++i) {
+    const Time at = 2 * EventLoop::kLaneSpanNs + static_cast<Time>((63 - i) / 3) * 1'000;
+    ids.push_back(loop.ScheduleAt(at, [&fired, i] { fired.push_back(i); }));
+    if (i % 5 != 2) {
+      expected.emplace_back(at, i);
+    }
+  }
+  for (int i = 2; i < 64; i += 5) {
+    loop.Cancel(ids[static_cast<size_t>(i)]);
+  }
+  EXPECT_EQ(loop.wheel_profile().lane_spills, 1u + 10'000u + 64u);
+  std::sort(expected.begin(), expected.end());  // time, then seq (= i)
+  std::vector<int> expected_order;
+  for (const auto& [at, i] : expected) {
+    expected_order.push_back(i);
+  }
+  loop.RunUntilIdle();
+  EXPECT_EQ(fired, expected_order);
+  EXPECT_EQ(loop.wheel_profile().slab_allocs, 0u);
 }
 
 // Lane events are intrusively linked, so cancel must unlink and reclaim them
@@ -823,23 +851,6 @@ TEST(EventLoopProfile, WarmSlabsPreventsDemandGrowth) {
   EXPECT_EQ(cold.wheel_profile().slab_allocs, 4u);
 }
 
-TEST(EventLoopProfile, CountsCascadesAndOverflowPulls) {
-  EventLoop loop;
-  // An event several wheel levels up — and beyond the express lane span, so
-  // it cannot be absorbed by the lane — must cascade down before executing.
-  loop.ScheduleAt(100'000'000, [] {});
-  loop.RunUntilIdle();
-  EXPECT_GE(loop.wheel_profile().cascades, 1u);
-
-  EventLoop far;
-  // Beyond the 64^8-ns wheel span: parked in the overflow heap, pulled into
-  // the wheel when the clock approaches.
-  far.ScheduleAt((Time{1} << 48) + 5, [] {});
-  far.RunUntilIdle();
-  EXPECT_EQ(far.wheel_profile().overflow_pulls, 1u);
-  EXPECT_EQ(far.events_executed(), 1u);
-}
-
 TEST(EventLoopProfile, LaneAbsorbsNearHorizonEvents) {
   EventLoop loop;
   loop.ScheduleAt(500, [] {});                            // lane hit
@@ -847,48 +858,8 @@ TEST(EventLoopProfile, LaneAbsorbsNearHorizonEvents) {
   loop.ScheduleAt(EventLoop::kLaneSpanNs + 10, [] {});    // past window: spill
   EXPECT_EQ(loop.wheel_profile().lane_hits, 2u);
   EXPECT_EQ(loop.wheel_profile().lane_spills, 1u);
-  // Lane events are not behind-heap inserts and need no cascades.
-  EXPECT_EQ(loop.wheel_profile().behind_inserts, 0u);
   loop.RunUntilIdle();
   EXPECT_EQ(loop.events_executed(), 3u);
-}
-
-TEST(EventLoopProfile, FarPeriodicHintSkipsLaneProbe) {
-  EventLoop loop;
-  // kFarPeriodic promises the event is out of lane range: no probe, and no
-  // spill counted (a spill names a *probed* miss, not a skipped probe).
-  loop.ScheduleAtHint(Time{1} << 30, DeadlineClass::kFarPeriodic, [] {});
-  EXPECT_EQ(loop.wheel_profile().lane_spills, 0u);
-  EXPECT_EQ(loop.wheel_profile().lane_hits, 0u);
-
-  // A broken promise falls back to wheel placement — correct order, just
-  // without the lane fast path.
-  std::vector<int> order;
-  loop.ScheduleAtHint(10, DeadlineClass::kFarPeriodic, [&] { order.push_back(1); });
-  loop.ScheduleAtHint(20, DeadlineClass::kNearHorizon, [&] { order.push_back(2); });
-  loop.RunUntil(100);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(loop.wheel_profile().lane_hits, 1u);
-  EXPECT_EQ(loop.wheel_profile().lane_spills, 0u);
-}
-
-TEST(EventLoopProfile, BulkCascadeSplicesWholeBucketIntoLane) {
-  EventLoop loop;
-  int fired = 0;
-  // Wheel resident from t=0: beyond the lane span, cascaded to level 0 on the
-  // first peek while now() is still far away.
-  loop.ScheduleAt(2'000'000, [&fired] { ++fired; });
-  loop.ScheduleAt(1'000, [&loop, &fired] {
-    ++fired;
-    // Scheduled mid-run ~2.1ms ahead: lands in the wheel. The wheel is not
-    // re-scanned until the 2'000'000 event executes; by then the whole bucket
-    // fits inside the lane window, so the drain is a single splice.
-    loop.ScheduleAt(2'100'000, [&fired] { ++fired; });
-  });
-  loop.RunUntilIdle();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(loop.events_executed(), 3u);
-  EXPECT_GE(loop.wheel_profile().bulk_cascades, 1u);
 }
 
 // The clamp invariant end to end: with adaptive epochs on, the effective
