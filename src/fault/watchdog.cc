@@ -36,7 +36,7 @@ CrashReport Watchdog::BuildReport(TripReason reason, std::string detail, Time no
   report.pick_errors = pick_errors_;
   report.balance_errors = balance_errors_;
   report.starved_pid = reason == TripReason::kStarvation ? starved_pid_ : 0;
-  report.during_probation = in_probation_;
+  report.during_probation = probation_open_;
   report.callback_count = callback_latency_.count();
   report.callback_mean_ns = callback_latency_.mean_ns();
   report.callback_max_ns = callback_latency_.max();

@@ -134,7 +134,7 @@ class Watchdog {
   // An exception escaped a module callback.
   TripReason OnEscapedException() {
     ++escaped_exceptions_;
-    if (in_probation_) {
+    if (probation_open_) {
       return escaped_exceptions_ - probation_base_escaped_ >= probation_.max_escaped_exceptions
                  ? TripReason::kEscapedException
                  : TripReason::kNone;
@@ -153,7 +153,7 @@ class Watchdog {
   // pick_next_task returned a token that failed validation.
   TripReason OnPickError() {
     ++pick_errors_;
-    if (in_probation_) {
+    if (probation_open_) {
       return pick_errors_ - probation_base_pick_ >= probation_.max_pick_errors
                  ? TripReason::kPickErrors
                  : TripReason::kNone;
@@ -164,7 +164,7 @@ class Watchdog {
   // balance offered a task that could not be moved.
   TripReason OnBalanceError() {
     ++balance_errors_;
-    if (in_probation_) {
+    if (probation_open_) {
       return balance_errors_ - probation_base_balance_ >= probation_.max_balance_errors
                  ? TripReason::kBalanceErrors
                  : TripReason::kNone;
@@ -189,17 +189,17 @@ class Watchdog {
   // baselined at the current values so only new misbehavior counts.
   void BeginProbation(const ProbationConfig& cfg) {
     probation_ = cfg;
-    in_probation_ = true;
+    probation_open_ = true;
     probation_base_escaped_ = escaped_exceptions_;
     probation_base_pick_ = pick_errors_;
     probation_base_balance_ = balance_errors_;
   }
-  void EndProbation() { in_probation_ = false; }
-  bool in_probation() const { return in_probation_; }
+  void EndProbation() { probation_open_ = false; }
+  bool in_probation() const { return probation_open_; }
   const ProbationConfig& probation() const { return probation_; }
 
   Duration effective_callback_budget() const {
-    if (!in_probation_) {
+    if (!probation_open_) {
       return config_.callback_budget_ns;
     }
     return static_cast<Duration>(static_cast<double>(config_.callback_budget_ns) *
@@ -229,7 +229,7 @@ class Watchdog {
   Duration starved_for_ = 0;
   LatencyRecorder callback_latency_;
 
-  bool in_probation_ = false;
+  bool probation_open_ = false;
   ProbationConfig probation_;
   uint64_t probation_base_escaped_ = 0;
   uint64_t probation_base_pick_ = 0;

@@ -710,24 +710,6 @@ TEST(UpgradeProbation, UsesIncomingModulesDefaultBudgets) {
   EXPECT_TRUE(r.completed);
 }
 
-TEST(Upgrade, OptionsReArmCheckpointCadence) {
-  FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
-  s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  EnokiRuntime* rt = s.runtime.get();
-  EXPECT_EQ(rt->checkpoint_interval(), 0);
-  s.core->loop().ScheduleAfter(Milliseconds(1), [rt] {
-    UpgradeOptions opts;
-    opts.checkpoint_interval_ns = Microseconds(400);
-    EXPECT_TRUE(rt->Upgrade(std::make_unique<WfqSched>(0), opts).ok);
-  });
-  PipeBenchConfig cfg;
-  cfg.messages = 8000;
-  auto r = RunPipeBench(*s.core, s.enoki_policy, cfg);
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(rt->checkpoint_interval(), Microseconds(400));
-  EXPECT_GE(rt->periodic_checkpoints(), 1u);
-}
-
 // ---- The 100-seed sweep (acceptance criteria) ----
 
 struct RingSweepOutcome {
@@ -772,11 +754,12 @@ RingSweepOutcome RunRingSweep(uint64_t seed) {
   s.runtime->SetCheckpointInterval(Microseconds(250));
   EnokiRuntime* rt = s.runtime.get();
   s.core->loop().ScheduleAfter(Milliseconds(1), [rt, seed] {
-    UpgradeOptions opts;
-    opts.checkpoint_interval_ns = Microseconds(250);
-    (void)rt->Upgrade(
-        InjectedWfq(FaultPlan::UpgradeMenu(seed ^ 0xBADC0FFEull, /*checkpoint_faults=*/true)),
-        opts);
+    // A committed upgrade re-arms the cadence from its own instant.
+    if (rt->Upgrade(InjectedWfq(FaultPlan::UpgradeMenu(seed ^ 0xBADC0FFEull,
+                                                       /*checkpoint_faults=*/true)))
+            .ok) {
+      rt->SetCheckpointInterval(Microseconds(250));
+    }
   });
   PipeBenchConfig pcfg;
   pcfg.messages = 300;
