@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "src/sched/ext/rusty.h"
 #include "src/sched/shinjuku.h"
 #include "src/sched/wfq.h"
+#include "src/simkernel/bodies.h"
 #include "src/simkernel/sched_core.h"
 #include "src/workloads/pipe.h"
 #include "src/workloads/portfolio.h"
@@ -679,6 +681,48 @@ TEST(PortfolioUpgrade, SamePolicyUpgradeConsumesTransferWithoutReinjection) {
   cfg.messages = 2000;
   const auto r = RunPipeBench(*s.core, s.enoki_policy, cfg);
   EXPECT_TRUE(r.completed);
+  EXPECT_EQ(rt->upgrades(), 1u);
+}
+
+// A WFQ successor whose first TaskWakeup throws. Behind a cross-policy
+// upgrade that first wakeup is a re-injected one.
+class ThrowsOnFirstWakeupWfq : public WfqSched {
+ public:
+  using WfqSched::WfqSched;
+  void TaskWakeup(const TaskMessage& msg, Schedulable sched) override {
+    if (!thrown_) {
+      thrown_ = true;
+      throw std::runtime_error("first wakeup");
+    }
+    WfqSched::TaskWakeup(msg, std::move(sched));
+  }
+
+ private:
+  bool thrown_ = false;
+};
+
+TEST(PortfolioUpgrade, ThrowDuringReinjectionRollsBackWithoutTaskLoss) {
+  // A trip raised while the runtime re-injects queued tasks into a
+  // cross-policy successor must climb the ladder like any probation trip:
+  // roll back to the predecessor, which gets every queued task back. If the
+  // trip were swallowed, probation would commit and the task whose wakeup
+  // threw would wait for the starvation bound and the CFS fallback.
+  PolicyStack s = MakePolicyStack(std::make_unique<CentralSched>(0), MachineSpec::OneSocket8());
+  s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
+  s.core->Start();
+  std::vector<Task*> tasks;
+  for (int i = 0; i < 24; ++i) {
+    tasks.push_back(s.core->CreateTask(
+        "c" + std::to_string(i), std::make_unique<CpuBoundBody>(Milliseconds(10), Microseconds(50)),
+        s.enoki_policy));
+  }
+  EnokiRuntime* rt = s.runtime.get();
+  s.core->loop().ScheduleAfter(Milliseconds(1), [rt] {
+    EXPECT_TRUE(rt->Upgrade(std::make_unique<ThrowsOnFirstWakeupWfq>(0)).ok);
+  });
+  EXPECT_TRUE(s.core->RunUntilTasksDead(tasks, Milliseconds(50)));
+  EXPECT_EQ(rt->rollbacks(), 1u);
+  EXPECT_FALSE(rt->quarantined());
   EXPECT_EQ(rt->upgrades(), 1u);
 }
 

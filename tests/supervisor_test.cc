@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -507,6 +509,139 @@ TEST(UpgradeProbation, SecondUpgradeRefusedWhileFirstIsOnProbation) {
   auto r = RunPipeBench(*s.core, s.enoki_policy, cfg);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(rt->upgrades(), 1u);
+}
+
+// ---- The ladder as one explicit state ----
+
+using SlotState = EnokiRuntime::SlotState;
+
+// Samples the slot state and checks the ladder invariants that must hold in
+// every state, from the test body and from a 25 us sampling timer.
+struct LadderWalk {
+  const EnokiRuntime* rt = nullptr;
+  std::set<SlotState> seen;
+  std::optional<uint64_t> periodic_at_quarantine;
+
+  void Check() {
+    const SlotState st = rt->slot_state();
+    seen.insert(st);
+    // At most one recovery pending: a restart the supervisor decided but the
+    // runtime has not performed exists exactly in kRestartPending.
+    EXPECT_EQ(rt->recovery_pending(),
+              st == SlotState::kRollbackPending || st == SlotState::kRestartPending);
+    EXPECT_EQ(rt->supervisor()->restarts_decided() - rt->module_restarts(),
+              st == SlotState::kRestartPending ? 1u : 0u);
+    EXPECT_FALSE(rt->recovery_pending() && rt->in_probation());
+    EXPECT_FALSE(rt->quarantined() && (rt->in_probation() || rt->recovery_pending()));
+    // Upgrade probation, and the rollback it can turn into, has a target.
+    EXPECT_EQ(rt->rollback_target() != nullptr,
+              st == SlotState::kUpgradeProbation || st == SlotState::kRollbackPending);
+    EXPECT_EQ(rt->watchdog()->in_probation(), rt->in_probation());
+    // No periodic checkpoint is taken after quarantine.
+    if (rt->quarantined() && !periodic_at_quarantine.has_value()) {
+      periodic_at_quarantine = rt->periodic_checkpoints();
+    }
+    if (periodic_at_quarantine.has_value()) {
+      EXPECT_EQ(rt->periodic_checkpoints(), *periodic_at_quarantine);
+    }
+  }
+};
+
+struct LadderSampler {
+  LadderWalk* walk;
+  SchedCore* core;
+  void operator()() const {
+    walk->Check();
+    if (core->now() < Milliseconds(20)) {
+      core->loop().ScheduleAfter(Microseconds(25), *this);
+    }
+  }
+};
+
+TEST(LadderStateWalk, EveryStateReachedThroughThePublicApi) {
+  FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
+  s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
+  SupervisorConfig scfg;
+  scfg.probation.window_ns = Milliseconds(1);  // restart probation closes by time only
+  scfg.probation.window_calls = 0;
+  s.runtime->EnableSupervisor(scfg, [] { return std::make_unique<WfqSched>(0); });
+  s.runtime->SetCheckpointInterval(Microseconds(200));
+  EnokiRuntime* rt = s.runtime.get();
+  LadderWalk walk;
+  walk.rt = rt;
+  s.core->Start();
+  std::vector<Task*> tasks;
+  for (int i = 0; i < 8; ++i) {
+    tasks.push_back(s.core->CreateTask(
+        "w" + std::to_string(i), std::make_unique<CpuBoundBody>(Milliseconds(8), Microseconds(50)),
+        s.enoki_policy));
+  }
+  s.core->loop().ScheduleAfter(0, LadderSampler{&walk, s.core.get()});
+  // Runs the simulation for `d` (0 = stay at this instant, before any
+  // deferred ladder step), then checks the state.
+  auto step = [&](Duration d, SlotState want) {
+    if (d > 0) {
+      s.core->RunFor(d);
+    }
+    walk.Check();
+    EXPECT_EQ(rt->slot_state(), want) << "at t=" << s.core->now();
+  };
+  step(Microseconds(500), SlotState::kActive);
+
+  // An upgrade whose init throws aborts in place and never leaves kActive.
+  FaultPlan init_throws;
+  init_throws.init_throw_rate = 1.0;
+  EXPECT_TRUE(rt->Upgrade(InjectedWfq(init_throws)).rolled_back);
+  step(0, SlotState::kActive);
+  EXPECT_EQ(rt->rollbacks(), 1u);
+
+  // A healthy upgrade: probation, then commit once its window closes.
+  UpgradeOptions opts;
+  opts.probation = ProbationConfig{};
+  opts.probation->window_ns = Microseconds(500);
+  opts.probation->window_calls = 0;
+  EXPECT_TRUE(rt->Upgrade(std::make_unique<WfqSched>(0), opts).ok);
+  step(0, SlotState::kUpgradeProbation);
+  step(Milliseconds(1), SlotState::kActive);
+  EXPECT_EQ(rt->upgrades(), 1u);
+
+  // A trip during upgrade probation rolls back at the next event boundary.
+  EXPECT_TRUE(rt->Upgrade(std::make_unique<WfqSched>(0), opts).ok);
+  step(Microseconds(100), SlotState::kUpgradeProbation);
+  rt->AbortModule("probation trip");
+  step(0, SlotState::kRollbackPending);
+  EXPECT_TRUE(rt->crash_report()->during_probation);
+  step(Microseconds(100), SlotState::kActive);
+  EXPECT_EQ(rt->rollbacks(), 2u);
+
+  // Supervised restart: pending for the backoff, then restart probation,
+  // then committed (the upgrade's commit was the first healthy one).
+  rt->AbortModule("restart 1");
+  step(0, SlotState::kRestartPending);
+  step(Microseconds(500), SlotState::kRestartProbation);
+  step(Milliseconds(1), SlotState::kActive);
+  EXPECT_EQ(rt->supervisor()->healthy_commits(), 2u);
+
+  // A trip inside restart probation restarts again until the budget (3 per
+  // window) is spent; the next one quarantines.
+  rt->AbortModule("restart 2");
+  step(0, SlotState::kRestartPending);
+  step(Microseconds(500), SlotState::kRestartProbation);
+  rt->AbortModule("restart 3");
+  step(0, SlotState::kRestartPending);
+  step(Microseconds(500), SlotState::kRestartProbation);
+  rt->AbortModule("budget spent");
+  step(0, SlotState::kQuarantined);
+  step(Microseconds(100), SlotState::kFallenBack);
+  EXPECT_EQ(rt->module_restarts(), 3u);
+  EXPECT_EQ(rt->supervisor()->escalations(), 1u);
+
+  // The cadence stays dead and every task still finishes, on CFS.
+  EXPECT_TRUE(s.core->RunUntilTasksDead(tasks, Milliseconds(200)));
+  walk.Check();
+  EXPECT_EQ(walk.seen.size(), 7u);
+  ASSERT_TRUE(walk.periodic_at_quarantine.has_value());
+  EXPECT_GT(*walk.periodic_at_quarantine, 0u);  // the cadence was live before
 }
 
 // ---- Seeded sweeps (acceptance criteria) ----
