@@ -18,6 +18,7 @@
 #include "src/sched/wfq.h"
 #include "src/simkernel/bodies.h"
 #include "src/workloads/pipe.h"
+#include "tests/sweep_digest.h"
 
 namespace enoki {
 namespace {
@@ -327,6 +328,9 @@ TEST(Fallback, QuarantinedUpgradeRefusalChargesNoPause) {
 
 // ---- The seeded fault sweep (acceptance criterion) ----
 
+// Digest of all 100 seeds' outcomes (see tests/sweep_digest.h).
+constexpr uint64_t kFaultSweepDigest = 0x7277bf7169ad937full;
+
 struct SweepOutcome {
   bool completed = false;
   bool tripped = false;
@@ -366,8 +370,14 @@ SweepOutcome RunSweep(uint64_t seed) {
 TEST(FaultSweep, HundredSeedsFullMenuZeroTaskLoss) {
   int tripped_seeds = 0;
   uint64_t total_faults = 0;
+  SweepDigest digest;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     SweepOutcome a = RunSweep(seed);
+    for (uint64_t v : {uint64_t{a.completed}, uint64_t{a.tripped}, a.faults, a.reinjected,
+                       a.end_time}) {
+      digest.Add(v);
+    }
+    digest.Add(a.report);
     // Zero task loss: every pipe task completes, tripped or not.
     EXPECT_TRUE(a.completed) << "seed " << seed << " lost tasks";
     // Determinism: the identical seed yields the identical run, down to the
@@ -385,6 +395,7 @@ TEST(FaultSweep, HundredSeedsFullMenuZeroTaskLoss) {
   // The menu must actually bite: faults were injected and some seeds tripped.
   EXPECT_GT(total_faults, 0u);
   EXPECT_GT(tripped_seeds, 0);
+  EXPECT_EQ(digest.value(), kFaultSweepDigest) << std::hex << digest.value();
 }
 
 }  // namespace

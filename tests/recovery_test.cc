@@ -30,6 +30,7 @@
 #include "src/sched/wfq.h"
 #include "src/simkernel/sched_core.h"
 #include "src/workloads/pipe.h"
+#include "tests/sweep_digest.h"
 
 namespace enoki {
 namespace {
@@ -712,6 +713,9 @@ TEST(UpgradeProbation, UsesIncomingModulesDefaultBudgets) {
 
 // ---- The 100-seed sweep (acceptance criteria) ----
 
+// Digest of all 100 seeds' outcomes (see tests/sweep_digest.h).
+constexpr uint64_t kRingSweepDigest = 0xc685b10d7e6b72c5ull;
+
 struct RingSweepOutcome {
   bool completed = false;
   bool quarantined = false;
@@ -787,8 +791,17 @@ RingSweepOutcome RunRingSweep(uint64_t seed) {
 TEST(RecoverySweep, RingFaultsHundredSeedsZeroTaskLossIdenticalFallbackOrder) {
   uint64_t seeds_with_periodic = 0, seeds_with_save_crash = 0, seeds_with_rot = 0,
            seeds_with_fallback_walk = 0;
+  SweepDigest digest;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     RingSweepOutcome a = RunRingSweep(seed);
+    for (uint64_t v : {uint64_t{a.completed}, uint64_t{a.quarantined}, uint64_t{a.fallback},
+                       a.restarts, a.rollbacks, a.periodic, a.save_failures, a.rejects,
+                       a.restore_fallbacks, a.slot_rot, a.end_time}) {
+      digest.Add(v);
+    }
+    for (const std::string* s : {&a.restore_timeline, &a.supervisor_timeline, &a.report}) {
+      digest.Add(*s);
+    }
     // Zero task loss under ring-slot bit-rot + crash-during-CheckpointNow on
     // every rung — the terminal CFS rung included.
     EXPECT_TRUE(a.completed) << "seed " << seed << " lost tasks";
@@ -809,6 +822,7 @@ TEST(RecoverySweep, RingFaultsHundredSeedsZeroTaskLossIdenticalFallbackOrder) {
   EXPECT_GT(seeds_with_save_crash, 0u);
   EXPECT_GT(seeds_with_rot, 0u);
   EXPECT_GT(seeds_with_fallback_walk, 0u);
+  EXPECT_EQ(digest.value(), kRingSweepDigest) << std::hex << digest.value();
 }
 
 }  // namespace

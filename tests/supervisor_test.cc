@@ -29,6 +29,7 @@
 #include "src/sched/wfq.h"
 #include "src/simkernel/bodies.h"
 #include "src/workloads/pipe.h"
+#include "tests/sweep_digest.h"
 
 namespace enoki {
 namespace {
@@ -646,6 +647,10 @@ TEST(LadderStateWalk, EveryStateReachedThroughThePublicApi) {
 
 // ---- Seeded sweeps (acceptance criteria) ----
 
+// Digests of all seeds' outcomes (see tests/sweep_digest.h).
+constexpr uint64_t kUpgradeSweepDigest = 0x277f2b04851e9edcull;
+constexpr uint64_t kSupervisorSweepDigest = 0xf905ab45fa1cb457ull;
+
 struct UpgradeSweepOutcome {
   bool completed = false;
   bool quarantined = false;
@@ -686,8 +691,14 @@ UpgradeSweepOutcome RunUpgradeSweep(uint64_t seed) {
 
 TEST(RecoverySweep, UpgradeBoundaryHundredSeedsZeroTaskLossZeroFallback) {
   int refused = 0, rolled_back = 0, committed = 0;
+  SweepDigest digest;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     UpgradeSweepOutcome a = RunUpgradeSweep(seed);
+    for (uint64_t v : {uint64_t{a.completed}, uint64_t{a.quarantined}, uint64_t{a.fallback},
+                       a.upgrades, a.rollbacks, a.end_time}) {
+      digest.Add(v);
+    }
+    digest.Add(a.report);
     // Zero task loss, and the transactional ladder always has a rollback
     // target here — the terminal CFS rung must never be reached.
     EXPECT_TRUE(a.completed) << "seed " << seed << " lost tasks";
@@ -713,6 +724,7 @@ TEST(RecoverySweep, UpgradeBoundaryHundredSeedsZeroTaskLossZeroFallback) {
   EXPECT_GT(refused, 0);
   EXPECT_GT(rolled_back, 0);
   EXPECT_GT(committed, 0);
+  EXPECT_EQ(digest.value(), kUpgradeSweepDigest) << std::hex << digest.value();
 }
 
 struct SupervisorSweepOutcome {
@@ -756,8 +768,15 @@ SupervisorSweepOutcome RunSupervisorSweep(uint64_t seed) {
 
 TEST(RecoverySweep, SupervisorTwoHundredSeedsZeroTaskLoss) {
   int restarted_seeds = 0, escalated_seeds = 0;
+  SweepDigest digest;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     SupervisorSweepOutcome a = RunSupervisorSweep(seed);
+    for (uint64_t v : {uint64_t{a.completed}, uint64_t{a.quarantined}, uint64_t{a.fallback},
+                       a.restarts, a.escalations, a.end_time}) {
+      digest.Add(v);
+    }
+    digest.Add(a.timeline);
+    digest.Add(a.report);
     // Zero task loss on every rung of the ladder.
     EXPECT_TRUE(a.completed) << "seed " << seed << " lost tasks";
     // Zero CFS fallbacks whenever the restart budget sufficed.
@@ -779,6 +798,7 @@ TEST(RecoverySweep, SupervisorTwoHundredSeedsZeroTaskLoss) {
   // The sweep must exercise both the self-healing and the terminal rung.
   EXPECT_GT(restarted_seeds, 0);
   EXPECT_GT(escalated_seeds, 0);
+  EXPECT_EQ(digest.value(), kSupervisorSweepDigest) << std::hex << digest.value();
 }
 
 // ---- Replay graceful degradation ----
