@@ -249,23 +249,31 @@ class EnokiSched {
   virtual void ReregisterInit(TransferState state) {}
 
   // ---- Checkpointing (recovery ladder; see src/enoki/checkpoint.h) ----
-  // Serializes the module's *accounting* state (weights, virtual times,
-  // placement cursors) into `out`. Queue membership and Schedulable tokens
-  // must NOT be serialized: the runtime's kernel-side bookkeeping is
+  // A policy checkpoints by returning a non-zero CheckpointVersion() and
+  // naming its *accounting* fields (weights, virtual times, placement
+  // cursors) in CheckpointFields(). Queue membership and Schedulable tokens
+  // must NOT be named: the runtime's kernel-side bookkeeping is
   // authoritative for those, and after a restore it re-injects every queued
-  // task as a wakeup carrying a freshly minted token. Returns false when the
-  // module does not support checkpointing; the runtime then falls back to
-  // the non-transactional upgrade/quarantine behavior.
-  virtual bool SaveCheckpoint(ByteWriter* out) const { return false; }
+  // task as a wakeup carrying a freshly minted token. Without checkpointing
+  // the runtime falls back to the non-transactional upgrade/quarantine
+  // behavior.
+  virtual void CheckpointFields(CheckpointArchive* ar) {}
 
-  // The payload format version SaveCheckpoint writes.
+  // The payload format version SaveCheckpoint writes; 0 = no checkpoints.
   virtual uint32_t CheckpointVersion() const { return 0; }
 
-  // Restores state serialized by an instance whose CheckpointVersion() was
-  // `version`. Called on a quiesced (empty) module instance. Returns false
-  // when the version is unsupported or the payload is malformed; the module
-  // must be left usable (fresh) either way.
-  virtual bool LoadCheckpoint(uint32_t version, ByteReader* in) { return false; }
+  // Serializes the field list into `out`; false without checkpoint support.
+  virtual bool SaveCheckpoint(ByteWriter* out) const {
+    return SaveCheckpointFields(this, CheckpointVersion(), out);
+  }
+
+  // Restores a payload saved by an instance whose CheckpointVersion() was
+  // `version`. Called on a quiesced instance that holds no tasks. Returns
+  // false when the version is unsupported or the payload is malformed; a
+  // refused load changes nothing.
+  virtual bool LoadCheckpoint(uint32_t version, ByteReader* in) {
+    return LoadCheckpointFields(this, version, CheckpointVersion(), in);
+  }
 
   // The probation budgets a freshly upgraded instance of this policy should
   // prove itself under when the caller does not override them

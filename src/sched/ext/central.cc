@@ -309,35 +309,9 @@ void CentralSched::ReregisterInit(TransferState state) {
   }
 }
 
-bool CentralSched::SaveCheckpoint(ByteWriter* out) const {
+void CentralSched::CheckpointFields(CheckpointArchive* ar) {
   SpinLockGuard g(lock_);
-  out->U64(next_seq_);
-  return true;
-}
-
-bool CentralSched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
-  ents_.clear();
-  tokens_.clear();
-  // A rollback target had its vectors moved out by ReregisterPrepare;
-  // rebuild the per-CPU structures before restoring into them.
-  if (queues_.empty() && env_ != nullptr) {
-    queues_.resize(static_cast<size_t>(env_->NumCpus()));
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  running_pid_.assign(queues_.size(), 0);
-  timer_armed_ = false;
-  uint64_t seq = 0;
-  if (!in->U64(&seq) || seq == 0) {
-    return false;
-  }
-  next_seq_ = seq;
-  return !in->overrun();
+  ar->NonZero(&next_seq_);
 }
 
 uint64_t CentralSched::dispatch_pulses() {

@@ -86,9 +86,8 @@ class CentralSched : public EnokiSched {
 
   // Checkpoint format v1: the global arrival sequence cursor. Queue
   // membership and tokens are kernel-side state, re-injected after restore.
-  bool SaveCheckpoint(ByteWriter* out) const override;
+  void CheckpointFields(CheckpointArchive* ar) override;
   uint32_t CheckpointVersion() const override { return 1; }
-  bool LoadCheckpoint(uint32_t version, ByteReader* in) override;
 
   // Per-policy probation budget: central dispatch routes every decision
   // through the dispatch CPU, so a restored module naturally bounces a few
@@ -142,7 +141,7 @@ class CentralSched : public EnokiSched {
   const int central_cpu_;
   const Duration pulse_;
   const Duration slice_;
-  mutable SpinLock lock_;
+  SpinLock lock_;
   std::vector<Ent> ents_;                           // indexed by pid
   std::vector<std::optional<Schedulable>> tokens_;  // indexed by pid
   std::vector<FlatMultimap<uint64_t, uint64_t>> queues_;

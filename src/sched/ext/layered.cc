@@ -390,48 +390,12 @@ void LayeredSched::ReregisterInit(TransferState state) {
   next_seq_ = t->next_seq;
 }
 
-bool LayeredSched::SaveCheckpoint(ByteWriter* out) const {
+void LayeredSched::CheckpointFields(CheckpointArchive* ar) {
   SpinLockGuard g(lock_);
-  out->U64(layer_vtime_.size());
-  for (uint64_t v : layer_vtime_) {
-    out->U64(v);
-  }
-  out->U64(next_seq_);
-  return true;
-}
-
-bool LayeredSched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
-  ents_.clear();
-  tokens_.clear();
-  if (queues_.empty() && env_ != nullptr) {
-    queues_.resize(static_cast<size_t>(env_->NumCpus()));
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  uint64_t nlayers = 0;
-  if (!in->U64(&nlayers) || nlayers != layers_.size()) {
-    // Layer config is constructor state; a checkpoint from a differently
-    // configured instance is not meaningfully restorable.
-    return false;
-  }
-  std::vector<uint64_t> vtimes(layers_.size(), 0);
-  for (uint64_t i = 0; i < nlayers; ++i) {
-    if (!in->U64(&vtimes[i])) {
-      return false;
-    }
-  }
-  uint64_t seq = 0;
-  if (!in->U64(&seq) || seq == 0) {
-    return false;
-  }
-  layer_vtime_ = std::move(vtimes);
-  next_seq_ = seq;
-  return !in->overrun();
+  // Layer config is constructor state: a vtime vector of another length
+  // cannot be mapped onto these layers.
+  ar->Array(&layer_vtime_, CheckpointArchive::Fold::kExact);
+  ar->NonZero(&next_seq_);
 }
 
 int LayeredSched::LayerOf(uint64_t pid) {

@@ -94,9 +94,8 @@ class LayeredSched : public EnokiSched {
   // cursor. Layer membership is re-derived from each task's nice value when
   // the runtime re-injects it, so it is not serialized. A checkpoint from a
   // differently-configured instance (layer count mismatch) is rejected.
-  bool SaveCheckpoint(ByteWriter* out) const override;
+  void CheckpointFields(CheckpointArchive* ar) override;
   uint32_t CheckpointVersion() const override { return 1; }
-  bool LoadCheckpoint(uint32_t version, ByteReader* in) override;
 
   // Introspection for tests.
   int LayerOf(uint64_t pid);
@@ -137,7 +136,7 @@ class LayeredSched : public EnokiSched {
 
   const int policy_id_;
   const std::vector<LayerSpec> layers_;
-  mutable SpinLock lock_;
+  SpinLock lock_;
   std::vector<Ent> ents_;                           // indexed by pid
   std::vector<std::optional<Schedulable>> tokens_;  // indexed by pid
   std::vector<FlatMultimap<uint64_t, uint64_t>> queues_;

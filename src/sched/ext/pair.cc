@@ -312,65 +312,11 @@ void PairSched::ReregisterInit(TransferState state) {
   next_seq_ = t->next_seq;
 }
 
-bool PairSched::SaveCheckpoint(ByteWriter* out) const {
+void PairSched::CheckpointFields(CheckpointArchive* ar) {
   SpinLockGuard g(lock_);
-  out->U64(next_seq_);
-  uint64_t ncookies = 0;
-  for (uint64_t c : cookie_of_) {
-    if (c != 0) {
-      ++ncookies;
-    }
-  }
-  out->U64(ncookies);
-  for (uint64_t pid = 0; pid < cookie_of_.size(); ++pid) {
-    if (cookie_of_[pid] != 0) {
-      out->U64(pid);
-      out->U64(cookie_of_[pid]);
-    }
-  }
-  return true;
-}
-
-bool PairSched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
-  ents_.clear();
-  tokens_.clear();
-  cookie_of_.clear();
-  if (queues_.empty() && env_ != nullptr) {
-    queues_.resize(static_cast<size_t>(env_->NumCpus()));
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  running_pid_.assign(queues_.size(), 0);
-  running_cookie_.assign(queues_.size(), 0);
-  uint64_t seq = 0;
-  uint64_t ncookies = 0;
-  if (!in->U64(&seq) || seq == 0 || !in->U64(&ncookies) || ncookies > (1u << 24)) {
-    return false;
-  }
-  for (uint64_t i = 0; i < ncookies; ++i) {
-    uint64_t pid = 0;
-    uint64_t cookie = 0;
-    if (!in->U64(&pid) || !in->U64(&cookie)) {
-      cookie_of_.clear();
-      return false;
-    }
-    // Same sanity bounds as WFQ: pids are dense, assigned from 1.
-    if (pid == 0 || pid > (1u << 24)) {
-      cookie_of_.clear();
-      return false;
-    }
-    if (pid >= cookie_of_.size()) {
-      cookie_of_.resize(pid + 1, 0);
-    }
-    cookie_of_[pid] = cookie;
-  }
-  next_seq_ = seq;
-  return !in->overrun();
+  ar->NonZero(&next_seq_);
+  ar->PidTable(&cookie_of_, [](uint64_t cookie) { return cookie != 0; }, uint64_t{0},
+               [&](uint64_t* cookie) { ar->Word(cookie); });
 }
 
 uint64_t PairSched::CookieOf(uint64_t pid) {

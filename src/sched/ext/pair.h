@@ -91,9 +91,8 @@ class PairSched : public EnokiSched {
   // assignment table. Cookies arrive through hints and cannot be re-derived
   // from task messages, so they are genuine accounting state: losing them on
   // restart would silently drop the security constraint.
-  bool SaveCheckpoint(ByteWriter* out) const override;
+  void CheckpointFields(CheckpointArchive* ar) override;
   uint32_t CheckpointVersion() const override { return 1; }
-  bool LoadCheckpoint(uint32_t version, ByteReader* in) override;
 
   // Introspection for tests.
   uint64_t CookieOf(uint64_t pid);
@@ -135,7 +134,7 @@ class PairSched : public EnokiSched {
 
   const int policy_id_;
   const Duration slice_;
-  mutable SpinLock lock_;
+  SpinLock lock_;
   std::vector<Ent> ents_;                           // indexed by pid
   std::vector<std::optional<Schedulable>> tokens_;  // indexed by pid
   std::vector<FlatMultimap<uint64_t, uint64_t>> queues_;

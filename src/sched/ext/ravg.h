@@ -48,30 +48,13 @@ class RunningAvg {
            static_cast<uint64_t>(half_life_);
   }
 
-  // ---- Checkpoint support ----
-  // The serialized form is the four words of internal state; the half-life
-  // is configuration and travels with the module, not the checkpoint.
-  void Save(ByteWriter* out) const {
-    out->U64(static_cast<uint64_t>(window_start_));
-    out->U64(static_cast<uint64_t>(last_));
-    out->U64(avg_);
-    out->U64(win_sum_);
-    out->U64(cur_);
-  }
-  bool Load(ByteReader* in) {
-    uint64_t ws = 0;
-    uint64_t last = 0;
-    in->U64(&ws);
-    in->U64(&last);
-    in->U64(&avg_);
-    in->U64(&win_sum_);
-    in->U64(&cur_);
-    if (in->overrun() || last < ws) {
-      return false;
-    }
-    window_start_ = ws;
-    last_ = last;
-    return true;
+  // The checkpoint holds the five words of internal state; the half-life is
+  // configuration and travels with the module, not the checkpoint.
+  void CheckpointFields(CheckpointArchive* ar) {
+    ar->Ordered(&window_start_, &last_);
+    ar->Word(&avg_);
+    ar->Word(&win_sum_);
+    ar->Word(&cur_);
   }
 
  private:

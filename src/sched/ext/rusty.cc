@@ -394,52 +394,12 @@ void RustySched::ReregisterInit(TransferState state) {
   next_seq_ = t->next_seq;
 }
 
-bool RustySched::SaveCheckpoint(ByteWriter* out) const {
+void RustySched::CheckpointFields(CheckpointArchive* ar) {
   SpinLockGuard g(lock_);
-  out->U64(next_seq_);
-  out->U64(ravgs_.size());
-  for (const RunningAvg& r : ravgs_) {
-    r.Save(out);
-  }
-  return true;
-}
-
-bool RustySched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
-  ents_.clear();
-  tokens_.clear();
-  // A rollback target had its structures moved out by ReregisterPrepare.
-  EnsureTopologyLocked();
-  if (ravgs_.empty() && !dom_cpus_.empty()) {
-    ravgs_.assign(dom_cpus_.size(), RunningAvg(half_life_));
-    dom_weight_.assign(dom_cpus_.size(), 0);
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  std::fill(dom_weight_.begin(), dom_weight_.end(), 0);
-  uint64_t seq = 0;
-  uint64_t ndoms = 0;
-  if (!in->U64(&seq) || seq == 0 || !in->U64(&ndoms) || ndoms == 0 || ndoms > 64) {
-    return false;
-  }
-  // Domains beyond this machine's count are consumed and dropped; missing
-  // ones keep a fresh (zero) history — same renormalization stance as WFQ's
-  // per-CPU cursors.
-  for (uint64_t d = 0; d < ndoms; ++d) {
-    RunningAvg r(half_life_);
-    if (!r.Load(in)) {
-      return false;
-    }
-    if (d < ravgs_.size()) {
-      ravgs_[d] = r;
-    }
-  }
-  next_seq_ = seq;
-  return !in->overrun();
+  ar->NonZero(&next_seq_);
+  // Domains beyond this machine's count are dropped; missing ones keep a
+  // fresh history.
+  ar->Elements(&ravgs_, /*max_len=*/64, [&](RunningAvg* r) { r->CheckpointFields(ar); });
 }
 
 int RustySched::DomainOf(uint64_t pid) {

@@ -94,9 +94,8 @@ class RustySched : public EnokiSched {
   // running-average state, so load history survives a restart instead of
   // every domain looking idle. Instantaneous weight sums are rebuilt as the
   // runtime re-injects tasks.
-  bool SaveCheckpoint(ByteWriter* out) const override;
+  void CheckpointFields(CheckpointArchive* ar) override;
   uint32_t CheckpointVersion() const override { return 1; }
-  bool LoadCheckpoint(uint32_t version, ByteReader* in) override;
 
   // Per-policy probation budget: rusty's greedy stealing probes queues on
   // other domains, so benign balance misses are routine right after a restore
@@ -146,7 +145,7 @@ class RustySched : public EnokiSched {
   const int policy_id_;
   const uint64_t greedy_ratio_pct_;
   const Duration half_life_;
-  mutable SpinLock lock_;
+  SpinLock lock_;
   std::vector<Ent> ents_;                           // indexed by pid
   std::vector<std::optional<Schedulable>> tokens_;  // indexed by pid
   std::vector<FlatMultimap<uint64_t, uint64_t>> queues_;

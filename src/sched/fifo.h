@@ -157,34 +157,11 @@ class FifoSched : public EnokiSched {
   }
 
   // Checkpoint v1: FIFO's only accounting state is the round-robin
-  // placement cursor. Queue membership and tokens are reconstructed by the
-  // runtime's post-restore wakeup re-injection.
-  bool SaveCheckpoint(ByteWriter* out) const override {
-    SpinLockGuard g(lock_);
-    out->U64(static_cast<uint64_t>(next_cpu_));
-    return true;
-  }
+  // placement cursor.
   uint32_t CheckpointVersion() const override { return 1; }
-  bool LoadCheckpoint(uint32_t version, ByteReader* in) override {
-    if (version != 1) {
-      return false;
-    }
-    uint64_t cursor = 0;
-    if (!in->U64(&cursor)) {
-      return false;
-    }
+  void CheckpointFields(CheckpointArchive* ar) override {
     SpinLockGuard g(lock_);
-    // A rollback target had its queues moved out by ReregisterPrepare;
-    // rebuild them before restoring the cursor.
-    if (queues_.empty() && env_ != nullptr) {
-      queues_.resize(static_cast<size_t>(env_->NumCpus()));
-    }
-    for (auto& q : queues_) {
-      q.clear();
-    }
-    tokens_.clear();
-    next_cpu_ = queues_.empty() ? 0 : static_cast<int>(cursor % queues_.size());
-    return true;
+    ar->Cpu(&next_cpu_, queues_.size());
   }
 
   size_t QueueDepth(int cpu) {
@@ -217,8 +194,7 @@ class FifoSched : public EnokiSched {
   }
 
   const int policy_id_;
-  // mutable: SaveCheckpoint is const but must still serialize readers.
-  mutable SpinLock lock_;
+  SpinLock lock_;
   std::vector<std::deque<uint64_t>> queues_;
   std::unordered_map<uint64_t, Schedulable> tokens_;
   int next_cpu_ = 0;

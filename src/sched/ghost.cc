@@ -265,38 +265,11 @@ void GhostClass::ShinjukuScan(int agent_cpu) {
   }
 }
 
-bool GhostClass::SaveCheckpoint(ByteWriter* out) const {
-  out->U64(next_seq_);
-  out->U64(commits_);
-  out->U64(messages_);
-  out->U64(static_cast<uint64_t>(rr_cpu_));
-  return true;
-}
-
-bool GhostClass::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1) {
-    return false;
-  }
-  uint64_t seq = 0, commits = 0, messages = 0, rr = 0;
-  if (!in->U64(&seq) || !in->U64(&commits) || !in->U64(&messages) || !in->U64(&rr)) {
-    return false;
-  }
-  // Sequence numbers start at 1; a zero cursor would mint duplicate arrival
-  // orders. Reject absurd cursors even when the checksum happened to pass.
-  if (seq == 0 || rr > 4096) {
-    return false;
-  }
-  if (in->overrun()) {
-    return false;
-  }
-  next_seq_ = seq;
-  commits_ = commits;
-  messages_ = messages;
-  // Cross-machine renormalization: the round-robin cursor remaps by % live
-  // when the restored machine has fewer CPUs than the one that saved.
-  const uint64_t live = committed_.empty() ? (rr + 1) : committed_.size();
-  rr_cpu_ = static_cast<int>(rr % live);
-  return true;
+void GhostClass::CheckpointFields(CheckpointArchive* ar) {
+  ar->NonZero(&next_seq_);
+  ar->Word(&commits_);
+  ar->Word(&messages_);
+  ar->Cpu(&rr_cpu_, committed_.size());
 }
 
 Duration GhostClass::AgentProcess(int idx) {

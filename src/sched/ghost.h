@@ -120,9 +120,14 @@ class GhostClass : public SchedClass {
   // round-robin placement cursor, commit/message counters); task tables,
   // queues, and in-flight commits are kernel-side bookkeeping rebuilt from
   // live task events, exactly as Enoki checkpoints exclude queue membership.
-  bool SaveCheckpoint(ByteWriter* out) const;
+  void CheckpointFields(CheckpointArchive* ar);
   uint32_t CheckpointVersion() const { return 1; }
-  bool LoadCheckpoint(uint32_t version, ByteReader* in);
+  bool SaveCheckpoint(ByteWriter* out) const {
+    return SaveCheckpointFields(this, CheckpointVersion(), out);
+  }
+  bool LoadCheckpoint(uint32_t version, ByteReader* in) {
+    return LoadCheckpointFields(this, version, CheckpointVersion(), in);
+  }
 
  private:
   struct GTask {

@@ -12,7 +12,6 @@
 #ifndef SRC_SCHED_LOCALITY_H_
 #define SRC_SCHED_LOCALITY_H_
 
-#include <algorithm>
 #include <deque>
 #include <unordered_map>
 #include <utility>
@@ -142,88 +141,29 @@ class LocalitySched : public EnokiSched {
     }
   }
 
-  // ---- Checkpointing (recovery ladder) ----
-  // v1: the placement accounting only — group->core assignments, pid->group
-  // memberships, and the round-robin cursor. Queue membership and tokens
-  // stay with the runtime; the rng is reseeded fresh (random placement is a
-  // baseline, not accounting). unordered_map contents are serialized in
-  // sorted key order so identical state always yields identical bytes — the
-  // checkpoint itself is part of the determinism contract.
-  bool SaveCheckpoint(ByteWriter* out) const override {
+  // Quiesce: queue membership and tokens go back to the runtime, which
+  // re-injects them into whichever instance takes the slot.
+  TransferState ReregisterPrepare() override {
     SpinLockGuard g(lock_);
-    out->U64(static_cast<uint64_t>(next_group_cpu_));
-    std::vector<std::pair<uint64_t, uint64_t>> groups(group_cpu_.begin(), group_cpu_.end());
-    std::sort(groups.begin(), groups.end());
-    out->U64(groups.size());
-    for (const auto& [group, cpu] : groups) {
-      out->U64(group);
-      out->U64(static_cast<uint64_t>(cpu));
-    }
-    std::vector<std::pair<uint64_t, uint64_t>> pids(group_of_.begin(), group_of_.end());
-    std::sort(pids.begin(), pids.end());
-    out->U64(pids.size());
-    for (const auto& [pid, group] : pids) {
-      out->U64(pid);
-      out->U64(group);
-    }
-    return true;
-  }
-
-  uint32_t CheckpointVersion() const override { return 1; }
-
-  bool LoadCheckpoint(uint32_t version, ByteReader* in) override {
-    if (version != 1) {
-      return false;
-    }
-    SpinLockGuard g(lock_);
-    group_of_.clear();
-    group_cpu_.clear();
-    tokens_.clear();
-    if (queues_.empty() && env_ != nullptr) {
-      queues_.resize(static_cast<size_t>(env_->NumCpus()));
-    }
     for (auto& q : queues_) {
       q.clear();
     }
-    if (queues_.empty()) {
-      return false;  // no machine shape to restore onto
-    }
-    const uint64_t live = queues_.size();
-    uint64_t cursor = 0;
-    if (!in->U64(&cursor)) {
-      return false;
-    }
-    // Cross-machine renormalization: cores remap by % live rather than being
-    // dropped, so a group keeps *a* stable home on the smaller machine.
-    next_group_cpu_ = static_cast<int>(cursor % live);
-    uint64_t ngroups = 0;
-    if (!in->U64(&ngroups) || ngroups > (1u << 24)) {
-      return false;
-    }
-    for (uint64_t i = 0; i < ngroups; ++i) {
-      uint64_t group = 0, cpu = 0;
-      if (!in->U64(&group) || !in->U64(&cpu)) {
-        return false;
-      }
-      group_cpu_[group] = static_cast<int>(cpu % live);
-    }
-    uint64_t npids = 0;
-    if (!in->U64(&npids) || npids > (1u << 24)) {
-      return false;
-    }
-    for (uint64_t i = 0; i < npids; ++i) {
-      uint64_t pid = 0, group = 0;
-      if (!in->U64(&pid) || !in->U64(&group)) {
-        return false;
-      }
-      // Pids are dense and assigned from 1; reject absurd payloads even when
-      // the checksum happened to pass.
-      if (pid == 0 || pid > (1u << 24)) {
-        return false;
-      }
-      group_of_[pid] = group;
-    }
-    return !in->overrun();
+    tokens_.clear();
+    return {};
+  }
+
+  // ---- Checkpointing (recovery ladder) ----
+  // v1: the placement accounting only — the round-robin cursor,
+  // group->core assignments and pid->group memberships. Cores remap % live
+  // on a smaller machine, so a group keeps *a* stable home. The rng is
+  // reseeded fresh (random placement is a baseline, not accounting).
+  uint32_t CheckpointVersion() const override { return 1; }
+  void CheckpointFields(CheckpointArchive* ar) override {
+    SpinLockGuard g(lock_);
+    const size_t live = queues_.size();
+    ar->Cpu(&next_group_cpu_, live);
+    ar->Map(&group_cpu_, CheckpointArchive::Key::kAny, [&](int* cpu) { ar->Cpu(cpu, live); });
+    ar->Map(&group_of_, CheckpointArchive::Key::kPid, [&](uint64_t* group) { ar->Word(group); });
   }
 
  private:
@@ -253,8 +193,7 @@ class LocalitySched : public EnokiSched {
   const int policy_id_;
   const bool use_hints_;
   Rng rng_;
-  // mutable: SaveCheckpoint is const but must still serialize readers.
-  mutable SpinLock lock_;
+  SpinLock lock_;
   std::vector<std::deque<uint64_t>> queues_;
   std::unordered_map<uint64_t, Schedulable> tokens_;
   std::unordered_map<uint64_t, uint64_t> group_of_;   // pid -> group

@@ -164,58 +164,28 @@ class NestSched : public EnokiSched {
     }
   }
 
-  // ---- Checkpointing (recovery ladder) ----
-  // v1: the warm-core accounting only — per-CPU last-used timestamps, which
-  // are what make a restored nest place wakeups onto the cores that were
-  // warm before the crash instead of scattering them cold.
-  bool SaveCheckpoint(ByteWriter* out) const override {
+  // Quiesce: queue membership and tokens go back to the runtime, which
+  // re-injects them into whichever instance takes the slot.
+  TransferState ReregisterPrepare() override {
     SpinLockGuard g(lock_);
-    out->U64(last_used_.size());
-    for (Time t : last_used_) {
-      out->U64(static_cast<uint64_t>(t));
-    }
-    return true;
-  }
-
-  uint32_t CheckpointVersion() const override { return 1; }
-
-  bool LoadCheckpoint(uint32_t version, ByteReader* in) override {
-    if (version != 1) {
-      return false;
-    }
-    SpinLockGuard g(lock_);
-    tokens_.clear();
-    if (queues_.empty() && env_ != nullptr) {
-      const size_t n = static_cast<size_t>(env_->NumCpus());
-      queues_.resize(n);
-      last_used_.assign(n, 0);
-      running_.assign(n, 0);
-    }
     for (auto& q : queues_) {
       q.clear();
     }
+    tokens_.clear();
     std::fill(running_.begin(), running_.end(), 0);
-    if (last_used_.empty()) {
-      return false;  // no machine shape to restore onto
-    }
-    uint64_t ncpus = 0;
-    if (!in->U64(&ncpus) || ncpus == 0 || ncpus > 4096) {
-      return false;
-    }
-    // Cross-machine renormalization: saved recency folds onto live CPUs by
-    // cpu % live keeping the *most recent* use (the folded core is warm if
-    // any of its sources were); a grown machine's extra cores start cold.
-    std::fill(last_used_.begin(), last_used_.end(), 0);
-    const uint64_t live = last_used_.size();
-    for (uint64_t cpu = 0; cpu < ncpus; ++cpu) {
-      uint64_t t = 0;
-      if (!in->U64(&t)) {
-        return false;
-      }
-      Time& slot = last_used_[static_cast<size_t>(cpu % live)];
-      slot = std::max(slot, static_cast<Time>(t));
-    }
-    return !in->overrun();
+    return {};
+  }
+
+  // ---- Checkpointing (recovery ladder) ----
+  // v1: the warm-core accounting only — per-CPU last-used timestamps, which
+  // are what make a restored nest place wakeups onto the cores that were
+  // warm before the crash instead of scattering them cold. On a smaller
+  // machine a folded core keeps its *most recent* use (it is warm if any of
+  // its sources were); a larger machine's extra cores start cold.
+  uint32_t CheckpointVersion() const override { return 1; }
+  void CheckpointFields(CheckpointArchive* ar) override {
+    SpinLockGuard g(lock_);
+    ar->Array(&last_used_, CheckpointArchive::Fold::kMax);
   }
 
   // Introspection: how many cores are currently warm.
@@ -262,8 +232,7 @@ class NestSched : public EnokiSched {
   }
 
   const int policy_id_;
-  // mutable: SaveCheckpoint is const but must still serialize readers.
-  mutable SpinLock lock_;
+  SpinLock lock_;
   std::vector<std::deque<uint64_t>> queues_;
   std::unordered_map<uint64_t, Schedulable> tokens_;
   std::vector<Time> last_used_;

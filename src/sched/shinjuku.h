@@ -187,38 +187,12 @@ class ShinjukuSched : public EnokiSched {
   TransferState ReregisterPrepare() override;
   void ReregisterInit(TransferState state) override;
 
-  // Checkpoint format v1: the global arrival sequence cursor. Queue
-  // membership and tokens are kernel-side state, re-injected as fresh
-  // wakeups after a restore; preserving the cursor keeps FCFS ages from
-  // colliding with pre-crash history.
-  bool SaveCheckpoint(ByteWriter* out) const override {
-    SpinLockGuard g(lock_);
-    out->U64(next_seq_);
-    return true;
-  }
+  // Checkpoint format v1: the global arrival sequence cursor. Preserving
+  // it keeps FCFS ages from colliding with pre-crash history.
   uint32_t CheckpointVersion() const override { return 1; }
-  bool LoadCheckpoint(uint32_t version, ByteReader* in) override {
-    if (version != 1) {
-      return false;
-    }
+  void CheckpointFields(CheckpointArchive* ar) override {
     SpinLockGuard g(lock_);
-    tokens_.clear();
-    // A rollback target had its vectors moved out by ReregisterPrepare.
-    if (queues_.empty() && env_ != nullptr) {
-      const size_t n = static_cast<size_t>(env_->NumCpus());
-      queues_.resize(n);
-      timer_armed_.assign(n, false);
-    }
-    for (auto& q : queues_) {
-      q.clear();
-    }
-    running_.assign(queues_.size(), 0);
-    uint64_t seq = 0;
-    if (!in->U64(&seq) || seq == 0) {
-      return false;
-    }
-    next_seq_ = seq;
-    return !in->overrun();
+    ar->NonZero(&next_seq_);
   }
 
   size_t QueueDepth(int cpu) {
@@ -289,8 +263,7 @@ class ShinjukuSched : public EnokiSched {
   const int policy_id_;
   const Duration slice_;
   CpuMask worker_cpus_;
-  // mutable: SaveCheckpoint is const but must still serialize readers.
-  mutable SpinLock lock_;
+  SpinLock lock_;
   std::vector<FlatMultimap<uint64_t, uint64_t>> queues_;  // seq -> pid
   std::vector<std::optional<Schedulable>> tokens_;        // indexed by pid
   std::vector<uint64_t> running_;  // pid running per cpu, 0 = none

@@ -269,124 +269,31 @@ void WfqSched::ReregisterInit(TransferState state) {
   min_vruntime_ = std::move(t->min_vruntime);
 }
 
-bool WfqSched::SaveCheckpoint(ByteWriter* out) const {
+void WfqSched::CheckpointFields(CheckpointArchive* ar) {
   SpinLockGuard g(lock_);
-  out->U64(min_vruntime_.size());
-  for (uint64_t v : min_vruntime_) {
-    out->U64(v);
-  }
-  uint64_t nlive = 0;
-  for (const Entity& e : entities_) {
-    if (e.live) {
-      ++nlive;
-    }
-  }
-  out->U64(nlive);
-  for (uint64_t pid = 0; pid < entities_.size(); ++pid) {
-    const Entity& e = entities_[pid];
-    if (!e.live) {
-      continue;
-    }
-    out->U64(pid);
-    out->U64(e.vruntime);
-    out->U64(e.weight);
-    out->U64(static_cast<uint64_t>(e.last_runtime));
-    out->U64(static_cast<uint64_t>(e.slice_start_runtime));
-    out->U64(static_cast<uint64_t>(e.cpu));
-  }
-  return true;
-}
-
-bool WfqSched::LoadCheckpoint(uint32_t version, ByteReader* in) {
-  if (version != 1 && version != 2) {
-    return false;
-  }
-  SpinLockGuard g(lock_);
-  // Queue membership and tokens are deliberately absent from checkpoints:
-  // the runtime re-injects queued tasks as fresh wakeups after the restore,
-  // so every restored entity starts parked (not queued, not running).
-  entities_.clear();
-  tokens_.clear();
-  // A rollback target had its vectors moved out by ReregisterPrepare;
-  // rebuild the per-CPU structures before restoring into them.
-  if (queues_.empty() && env_ != nullptr) {
-    queues_.resize(static_cast<size_t>(env_->NumCpus()));
-    min_vruntime_.assign(static_cast<size_t>(env_->NumCpus()), 0);
-  }
-  for (auto& q : queues_) {
-    q.clear();
-  }
-  if (min_vruntime_.empty()) {
-    return false;  // detached instance with no machine shape to restore onto
-  }
-  uint64_t ncpus = 0;
-  if (!in->U64(&ncpus) || ncpus == 0 || ncpus > 4096) {
-    return false;
-  }
-  // A checkpoint from a differently-sized machine renormalizes onto this
-  // one instead of dropping state. Saved per-CPU vruntime baselines are
-  // remapped by cpu % live: shrinking folds several saved cursors onto one
-  // live CPU, keeping the *minimum* (entities restored onto that CPU carry
-  // vruntimes measured against their old cursor, and a too-high baseline
-  // would starve them behind fresh arrivals). Growing seeds the extra CPUs
-  // from the global minimum so they join at the fair frontier rather than
-  // at 0 (which would let their first tasks monopolize the machine).
-  std::vector<uint64_t> saved(static_cast<size_t>(ncpus), 0);
-  uint64_t global_min = ~uint64_t{0};
-  for (uint64_t cpu = 0; cpu < ncpus; ++cpu) {
-    if (!in->U64(&saved[cpu])) {
-      return false;
-    }
-    global_min = std::min(global_min, saved[cpu]);
-  }
-  const size_t live = min_vruntime_.size();
-  std::fill(min_vruntime_.begin(), min_vruntime_.end(), ~uint64_t{0});
-  for (uint64_t cpu = 0; cpu < ncpus; ++cpu) {
-    uint64_t& slot = min_vruntime_[static_cast<size_t>(cpu % live)];
-    slot = std::min(slot, saved[cpu]);
-  }
-  for (uint64_t& v : min_vruntime_) {
-    if (v == ~uint64_t{0}) {
-      v = global_min;
-    }
-  }
-  uint64_t nlive = 0;
-  if (!in->U64(&nlive)) {
-    return false;
-  }
-  for (uint64_t i = 0; i < nlive; ++i) {
-    uint64_t pid = 0, vruntime = 0, weight = 0, last_runtime = 0;
-    uint64_t slice_start = 0, cpu = 0;
-    if (!in->U64(&pid) || !in->U64(&vruntime) || !in->U64(&weight) || !in->U64(&last_runtime)) {
-      return false;
-    }
-    if (version >= 2 && !in->U64(&slice_start)) {
-      return false;
-    }
-    if (!in->U64(&cpu)) {
-      return false;
-    }
-    // Sanity bounds: pids are dense and assigned from 1; reject a payload
-    // that would force an absurd resize even if its checksum happened to
-    // pass (e.g. a version-confused writer).
-    if (pid == 0 || pid > (1u << 24) || weight == 0) {
-      return false;
-    }
-    Entity& e = EntSlot(pid);
-    e = Entity{};
-    e.live = true;
-    e.vruntime = vruntime;
-    e.weight = weight;
-    e.last_runtime = static_cast<Duration>(last_runtime);
-    // v1 predates slice_start_runtime; seed it from the runtime watermark.
-    e.slice_start_runtime = version >= 2 ? static_cast<Duration>(slice_start)
-                                         : static_cast<Duration>(last_runtime);
-    // Placement cursors renormalize with the same cpu % live remap as the
-    // vruntime baselines, so an entity folded onto a live CPU lands next to
-    // the baseline its vruntime is measured against.
-    e.cpu = static_cast<int>(cpu % queues_.size());
-  }
-  return !in->overrun();
+  // Vruntime baselines fold by min onto a smaller machine: restored
+  // entities carry vruntimes measured against their old cursor, and a
+  // too-high baseline would starve them behind fresh arrivals. A larger
+  // machine's extra CPUs join at the saved minimum, the fair frontier,
+  // rather than at 0, which would let their first tasks monopolize it.
+  ar->Array(&min_vruntime_, CheckpointArchive::Fold::kMin);
+  // Restored entities start parked (not queued, not running): the runtime
+  // re-injects queued tasks as fresh wakeups after the restore.
+  ar->PidTable(&entities_, [](const Entity& e) { return e.live; }, Entity{.live = true},
+               [&](Entity* e) {
+                 ar->Word(&e->vruntime);
+                 ar->NonZero(&e->weight);
+                 ar->Word(&e->last_runtime);
+                 // v1 predates slice_start_runtime; seed it from the watermark.
+                 if (ar->version() >= 2) {
+                   ar->Word(&e->slice_start_runtime);
+                 } else {
+                   e->slice_start_runtime = e->last_runtime;
+                 }
+                 // The home CPU remaps like its baseline, so an entity lands
+                 // next to the cursor its vruntime is measured against.
+                 ar->Cpu(&e->cpu, queues_.size());
+               });
 }
 
 size_t WfqSched::QueueDepth(int cpu) {

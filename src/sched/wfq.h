@@ -87,11 +87,10 @@ class WfqSched : public EnokiSched {
 
   // Checkpoint format v2: per-CPU min_vruntime cursors plus per-entity
   // accounting (vruntime, weight, runtime watermarks, home cpu). v1 (an
-  // earlier format without slice_start_runtime) is still accepted by
-  // LoadCheckpoint, demonstrating cross-version restores.
-  bool SaveCheckpoint(ByteWriter* out) const override;
+  // earlier format without slice_start_runtime) still loads, demonstrating
+  // cross-version restores.
+  void CheckpointFields(CheckpointArchive* ar) override;
   uint32_t CheckpointVersion() const override { return 2; }
-  bool LoadCheckpoint(uint32_t version, ByteReader* in) override;
 
   // Introspection for tests.
   size_t QueueDepth(int cpu);
@@ -127,8 +126,7 @@ class WfqSched : public EnokiSched {
   }
 
   const int policy_id_;
-  // mutable: SaveCheckpoint is const but must still serialize readers.
-  mutable SpinLock lock_;
+  SpinLock lock_;
   std::vector<Entity> entities_;                    // indexed by pid
   std::vector<std::optional<Schedulable>> tokens_;  // indexed by pid
   std::vector<FlatMultimap<uint64_t, uint64_t>> queues_;
