@@ -134,6 +134,32 @@ TaskMessage MsgFrom(const RecordEntry& e) {
   return msg;
 }
 
+// Whether every CPU a recorded call hands the module exists on an
+// `ncpus`-CPU machine. A record file is untrusted input: a module indexes
+// its per-CPU state with these. Selection may carry prev_cpu -1 (a new
+// task); the per-task notifications name no CPU the module indexes.
+bool CpusInRange(const RecordEntry& e, int ncpus) {
+  switch (e.type) {
+    case RecordType::kTaskNew:
+    case RecordType::kTaskWakeup:
+    case RecordType::kTaskPreempt:
+    case RecordType::kTaskYield:
+    case RecordType::kPickNextTask:
+    case RecordType::kPntErr:
+    case RecordType::kBalance:
+    case RecordType::kBalanceErr:
+    case RecordType::kTaskTick:
+    case RecordType::kTimerFired:
+      return e.cpu >= 0 && e.cpu < ncpus;
+    case RecordType::kMigrateTaskRq:
+      return e.cpu >= 0 && e.cpu < ncpus && e.arg[0] < static_cast<uint64_t>(ncpus);
+    case RecordType::kSelectTaskRq:
+      return e.cpu >= -1 && e.cpu < ncpus;
+    default:
+      return true;
+  }
+}
+
 bool IsLockEntry(RecordType t) {
   return t == RecordType::kLockCreate || t == RecordType::kLockAcquire ||
          t == RecordType::kLockRelease;
@@ -269,6 +295,10 @@ ReplayResult ReplayEngine::Run(EnokiSched* module) {
 
   for (const RecordEntry& e : log_) {
     if (IsLockEntry(e.type)) {
+      continue;
+    }
+    if (!CpusInRange(e, env_.NumCpus())) {
+      ++result.bad_cpu_skipped;
       continue;
     }
     std::shared_ptr<Gate> prev = last_gate.count(e.kthread) ? last_gate[e.kthread] : nullptr;

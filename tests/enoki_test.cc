@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -551,6 +552,35 @@ TEST(Replay, WfqReplayMatchesRecordedResponses) {
   EXPECT_GT(result.calls_replayed, 600u);
   EXPECT_EQ(result.response_mismatches, 0u);
   EXPECT_EQ(result.lock_timeouts, 0u);
+}
+
+TEST(Replay, RecordFileWithOutOfRangeCpusIsSkippedAndCounted) {
+  // A record file is untrusted input. Fields: seq time kthread type pid cpu
+  // runtime arg0..arg3 resp0 resp1 has_resp flag. Three calls name CPUs a
+  // 4-CPU machine lacks: a pick at 9999, a migration from 9999 and a pick
+  // at -7. Replaying them would index WFQ's per-CPU queues out of bounds.
+  const std::string path = ::testing::TempDir() + "/bad_cpu_trace.txt";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("1 0 0 1 1 0 0 20 0 0 0 0 0 0 0\n", f);       // task_new pid 1 on cpu 0
+    std::fputs("2 10 0 8 0 9999 0 0 0 0 0 1 0 1 0\n", f);    // pick on cpu 9999
+    std::fputs("3 20 0 11 1 1 0 9999 0 0 0 1 0 1 0\n", f);   // migrate from cpu 9999
+    std::fputs("4 30 0 8 0 -7 0 0 0 0 0 1 0 1 0\n", f);      // pick on cpu -7
+    std::fputs("5 40 0 8 0 0 0 0 0 0 0 1 0 1 0\n", f);       // pick on cpu 0 -> pid 1
+    std::fclose(f);
+  }
+  std::vector<RecordEntry> trace;
+  ASSERT_TRUE(Recorder::LoadFromFile(path, &trace));
+  ASSERT_EQ(trace.size(), 5u);
+  ReplayEngine engine(trace, 4);
+  engine.InstallHooks();
+  auto module = std::make_unique<WfqSched>(0);
+  module->Attach(engine.env());
+  const ReplayResult result = engine.Run(module.get());
+  EXPECT_EQ(result.bad_cpu_skipped, 3u);
+  EXPECT_EQ(result.calls_replayed, 2u);
+  EXPECT_EQ(result.response_mismatches, 0u);
 }
 
 TEST(Replay, DivergentModuleDetected) {
