@@ -275,10 +275,10 @@ class EnokiSched {
     return LoadCheckpointFields(this, version, CheckpointVersion(), in);
   }
 
-  // The probation budgets a freshly upgraded instance of this policy should
-  // prove itself under when the caller does not override them
-  // (UpgradeOptions.probation wins when set). Policies whose healthy shape
-  // would false-positive the generic defaults — a central dispatcher funnels
+  // The probation budgets a freshly upgraded instance of this policy must
+  // prove itself under: EnokiRuntime::Upgrade opens the incoming module's
+  // probation window with them. Policies whose healthy shape would
+  // false-positive the generic defaults — a central dispatcher funnels
   // every pick through one CPU, a work-stealing balancer loses benign races —
   // loosen exactly the budget their mechanism stresses and keep the rest.
   virtual ProbationConfig DefaultProbation() const { return ProbationConfig{}; }

@@ -11,11 +11,24 @@
 
 namespace enoki {
 
+namespace {
+
+RecordEntry Entry(RecordType type, int cpu = -1, uint64_t pid = 0, Duration runtime = 0) {
+  RecordEntry e;
+  e.type = type;
+  e.cpu = cpu;
+  e.pid = pid;
+  e.runtime = runtime;
+  return e;
+}
+
+uint64_t NiceArg(const Task* t) { return static_cast<uint64_t>(t->nice() - kMinNice); }
+
+}  // namespace
+
 EnokiRuntime::EnokiRuntime(std::unique_ptr<EnokiSched> module) : module_(std::move(module)) {
   ENOKI_CHECK(module_ != nullptr);
 }
-
-EnokiRuntime::~EnokiRuntime() = default;
 
 void EnokiRuntime::Attach(SchedCore* core) {
   SchedClass::Attach(core);
@@ -25,14 +38,12 @@ void EnokiRuntime::Attach(SchedCore* core) {
 }
 
 TaskMessage EnokiRuntime::MakeMsg(const Task* t, int cpu, bool wake_sync) const {
-  TaskMessage msg;
-  msg.pid = t->pid();
-  msg.cpu = cpu;
-  msg.prev_cpu = t->cpu();
-  msg.runtime = core_->TaskRuntime(t);
-  msg.nice = t->nice();
-  msg.wake_sync = wake_sync;
-  return msg;
+  return TaskMessage{.pid = t->pid(),
+                     .cpu = cpu,
+                     .prev_cpu = t->cpu(),
+                     .runtime = core_->TaskRuntime(t),
+                     .nice = t->nice(),
+                     .wake_sync = wake_sync};
 }
 
 Schedulable EnokiRuntime::Mint(Task* t, int cpu) {
@@ -43,20 +54,9 @@ Schedulable EnokiRuntime::Mint(Task* t, int cpu) {
 }
 
 bool EnokiRuntime::ValidateForRun(const Schedulable& s, int cpu, Task** out_task) const {
-  if (!s.valid()) {
-    return false;
-  }
-  Task* t = core_->FindTask(s.pid());
-  if (t == nullptr || t->state() != TaskState::kRunnable) {
-    return false;
-  }
-  if (s.cpu() != cpu || t->cpu() != cpu) {
-    return false;
-  }
-  if (SchedulableMinter::Generation(s) != t->token_generation_) {
-    return false;
-  }
-  if (!queued_[cpu].contains(s.pid())) {
+  Task* t = s.valid() ? core_->FindTask(s.pid()) : nullptr;
+  if (t == nullptr || t->state() != TaskState::kRunnable || s.cpu() != cpu || t->cpu() != cpu ||
+      SchedulableMinter::Generation(s) != t->token_generation_ || !queued_[cpu].contains(s.pid())) {
     return false;
   }
   *out_task = t;
@@ -82,25 +82,51 @@ void EnokiRuntime::Record(const RecordEntry& entry) {
   }
 }
 
-// ---- Fault containment ----
+// ---- The call path into the module ----
 
 template <typename Fn>
-bool EnokiRuntime::Guarded(const char* site, Fn&& fn, bool probation_call) {
-  bool ok = true;
+bool EnokiRuntime::Notify(int cpu, const RecordEntry* e, const char* site, Fn&& fn,
+                          bool probation_call) {
+  if (cpu >= 0) {
+    Charge(cpu);
+  }
+  if (e != nullptr) {
+    Record(*e);
+  }
   try {
     fn();
   } catch (const std::exception& ex) {
-    ok = false;
     HandleEscape(site, ex.what());
+    return false;
   } catch (...) {
-    ok = false;
     HandleEscape(site, "non-standard exception");
+    return false;
   }
-  if (ok) {
-    FinishCall(site, probation_call);
-  }
-  return ok;
+  FinishCall(site, probation_call);
+  return true;
 }
+
+template <typename Fn>
+bool EnokiRuntime::Query(int cpu, RecordEntry e, const char* site, Fn&& fn) {
+  if (!Notify(cpu, nullptr, site, [&] { e.resp0 = fn(); })) {
+    return false;
+  }
+  e.has_resp = true;
+  Record(e);
+  return true;
+}
+
+void EnokiRuntime::HandToken(Task* t, RecordEntry e, TokenCall call, const char* site,
+                             bool probation_call) {
+  SetCurrentKthread(e.cpu);
+  const TaskMessage msg = MakeMsg(t, e.cpu);
+  e.pid = t->pid();
+  e.runtime = msg.runtime;
+  Notify(
+      e.cpu, &e, site, [&] { (module_.get()->*call)(msg, Mint(t, e.cpu)); }, probation_call);
+}
+
+// ---- Fault containment ----
 
 void EnokiRuntime::HandleEscape(const char* site, const char* what) {
   ++escaped_exceptions_;
@@ -122,11 +148,9 @@ void EnokiRuntime::FinishCall(const char* site, bool probation_call) {
   }
   const Duration lat = core_->costs().enoki_call_ns + busy;
   if (watchdog_->OnCallbackLatency(lat) != TripReason::kNone) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%s consumed %" PRIu64 "ns (budget %" PRIu64 "ns)", site,
-                  static_cast<uint64_t>(lat),
-                  static_cast<uint64_t>(watchdog_->effective_callback_budget()));
-    TripWatchdog(TripReason::kCallbackBudget, buf);
+    TripWatchdog(TripReason::kCallbackBudget,
+                 std::string(site) + " consumed " + std::to_string(lat) + "ns (budget " +
+                     std::to_string(watchdog_->effective_callback_budget()) + "ns)");
     return;
   }
   // Probation bookkeeping: the window also closes after surviving N calls.
@@ -156,7 +180,7 @@ void EnokiRuntime::AbortModule(const std::string& reason) {
 }
 
 void EnokiRuntime::TripWatchdog(TripReason reason, std::string detail) {
-  if (ModuleOffline() || watchdog_ == nullptr) {
+  if (ModuleOffline()) {
     return;
   }
   CrashReport report = watchdog_->BuildReport(reason, std::move(detail), core_->now());
@@ -183,7 +207,7 @@ void EnokiRuntime::TripWatchdog(TripReason reason, std::string detail) {
     Enter(SlotState::kRollbackPending);
     // Flap damping: the incoming fingerprint failed its probation. Enough of
     // these inside the rolling window and Upgrade() refuses the fingerprint.
-    RecordFlapFailure(incoming_fingerprint_, core_->now());
+    flap_failures_.emplace_back(incoming_fingerprint_, core_->now());
     ENOKI_WARN("enoki: watchdog tripped (%s) during upgrade probation: %s; rolling back",
                TripReasonName(crash_report_->reason), crash_report_->detail.c_str());
     // The trip can fire deep inside a scheduling operation (mid-pick,
@@ -236,21 +260,17 @@ void EnokiRuntime::ExecuteFallback() {
     // Already condemned; a throw here changes nothing.
   }
   uint64_t moved = 0;
-  for (const auto& tp : core_->tasks()) {
-    Task* t = tp.get();
-    if (t->sched_class() != this || t->state() == TaskState::kDead) {
-      continue;
+  for (const auto& t : core_->tasks()) {
+    if (t->sched_class() == this && t->state() != TaskState::kDead) {
+      core_->SetTaskPolicy(t.get(), fallback_policy_);
+      ++moved;
     }
-    core_->SetTaskPolicy(t, fallback_policy_);
-    ++moved;
   }
   const Duration pause = SwapPause(core_->costs().upgrade_swap_ns) +
                          static_cast<Duration>(moved) * core_->costs().fallback_pertask_ns;
   ChargeAllCpus(pause);
-  if (crash_report_.has_value()) {
-    crash_report_->tasks_repolicied = moved;
-    crash_report_->fallback_pause_ns = pause;
-  }
+  crash_report_->tasks_repolicied = moved;
+  crash_report_->fallback_pause_ns = pause;
   ENOKI_WARN("enoki: fallback complete: %" PRIu64 " tasks re-policied to policy %d, pause %" PRIu64
              "ns",
              moved, fallback_policy_, static_cast<uint64_t>(pause));
@@ -326,8 +346,7 @@ bool EnokiRuntime::CheckpointNow() {
     return false;
   }
   core_->ChargeCpu(0, core_->costs().checkpoint_save_ns);
-  RecordEntry e;
-  e.type = RecordType::kCheckpointSave;
+  RecordEntry e = Entry(RecordType::kCheckpointSave);
   e.arg[0] = ck.sequence;
   e.arg[1] = static_cast<uint64_t>(ck.taken_at);
   e.arg[2] = ck.bytes.size();
@@ -346,7 +365,7 @@ void EnokiRuntime::SetCheckpointInterval(Duration interval) {
 
 void EnokiRuntime::ArmCheckpointCadence(uint64_t epoch) {
   core_->loop().ScheduleAfter(checkpoint_interval_, [this, epoch] {
-    if (epoch != cadence_epoch_ || checkpoint_interval_ == 0 || quarantined()) {
+    if (epoch != cadence_epoch_ || quarantined()) {
       return;  // disarmed, re-armed at a different interval, or terminal
     }
     // Probation skips the save (an unproven module must not overwrite proven
@@ -367,8 +386,7 @@ bool EnokiRuntime::TakeCheckpoint(EnokiSched* module, Checkpoint* out) {
   try {
     ok = module->SaveCheckpoint(&w);
   } catch (...) {
-    ok = false;  // a throwing saver yields no checkpoint; CheckpointNow escalates
-    last_save_threw_ = true;
+    last_save_threw_ = true;  // no checkpoint; CheckpointNow escalates the crash
   }
   if (!ok) {
     return false;
@@ -401,16 +419,8 @@ void EnokiRuntime::AppendRestoreLog(const char* verdict, const Checkpoint& ck,
   std::snprintf(buf, sizeof(buf), "t=%" PRIu64 " %s seq=%" PRIu64 " v=%u taken=%" PRIu64 " %s",
                 static_cast<uint64_t>(core_->now()), verdict, ck.sequence, ck.state_version,
                 static_cast<uint64_t>(ck.taken_at), reason);
-  restore_log_.emplace_back(buf);
-}
-
-std::string EnokiRuntime::RestoreTimelineString() const {
-  std::string out;
-  for (const std::string& line : restore_log_) {
-    out += line;
-    out += '\n';
-  }
-  return out;
+  restore_log_ += buf;
+  restore_log_ += '\n';
 }
 
 bool EnokiRuntime::RestoreFromCheckpoint(EnokiSched* module) {
@@ -439,7 +449,7 @@ bool EnokiRuntime::RestoreFromCheckpoint(EnokiSched* module) {
       try {
         ok = module->LoadCheckpoint(ck.state_version, &r);
       } catch (...) {
-        ok = false;
+        // A throwing loader refuses the generation like a false return.
       }
       if (!ok) {
         skip = "reason=load-refused";
@@ -453,11 +463,9 @@ bool EnokiRuntime::RestoreFromCheckpoint(EnokiSched* module) {
       checkpoints_.DropNewest();  // never offer a refused generation twice
       continue;
     }
-    last_restore_age_ns_ =
-        core_->now() >= ck.taken_at ? core_->now() - ck.taken_at : Duration{0};
+    last_restore_age_ns_ = core_->now() - ck.taken_at;
     AppendRestoreLog("restore", ck, "");
-    RecordEntry e;
-    e.type = RecordType::kCheckpointRestore;
+    RecordEntry e = Entry(RecordType::kCheckpointRestore);
     e.arg[0] = ck.sequence;
     e.arg[1] = last_restore_depth_;
     e.arg[2] = last_restore_depth_ - 1;  // generations skipped on the way
@@ -471,26 +479,7 @@ bool EnokiRuntime::RestoreFromCheckpoint(EnokiSched* module) {
   return false;
 }
 
-// ---- Version-fingerprint flap damping ----
-
-void EnokiRuntime::PruneFlapWindow(Time now) {
-  const Duration window = flap_config_.window_ns;
-  auto expired = [&](const std::pair<uint64_t, Time>& f) {
-    return now >= f.second && now - f.second > window;
-  };
-  flap_failures_.erase(std::remove_if(flap_failures_.begin(), flap_failures_.end(), expired),
-                       flap_failures_.end());
-}
-
-void EnokiRuntime::RecordFlapFailure(uint64_t fingerprint, Time now) {
-  if (fingerprint == 0) {
-    return;
-  }
-  PruneFlapWindow(now);
-  flap_failures_.emplace_back(fingerprint, now);
-}
-
-uint64_t EnokiRuntime::ReinjectQueuedTasks() {
+uint64_t EnokiRuntime::Reinject(Duration* pause) {
   uint64_t injected = 0;
   for (int cpu = 0; cpu < core_->ncpus(); ++cpu) {
     queued_[cpu].ForEach([&](uint64_t pid) {
@@ -500,22 +489,15 @@ uint64_t EnokiRuntime::ReinjectQueuedTasks() {
       if (t == nullptr || t->state() != TaskState::kRunnable || ModuleOffline()) {
         return;
       }
-      SetCurrentKthread(cpu);
-      TaskMessage msg = MakeMsg(t, cpu);
-      Charge(cpu);
-      RecordEntry e;
-      e.type = RecordType::kTaskWakeup;
-      e.pid = pid;
-      e.cpu = cpu;
-      e.runtime = msg.runtime;
-      e.arg[0] = static_cast<uint64_t>(t->nice() - kMinNice);
-      Record(e);
+      RecordEntry e = Entry(RecordType::kTaskWakeup, cpu);
+      e.arg[0] = NiceArg(t);
       // Runtime-driven, so it does not count toward a probation window.
-      Guarded("reinject_wakeup", [&] { module_->TaskWakeup(msg, Mint(t, cpu)); },
-              /*probation_call=*/false);
+      HandToken(t, e, &EnokiSched::TaskWakeup, "reinject_wakeup", /*probation_call=*/false);
       ++injected;
     });
   }
+  *pause += static_cast<Duration>(injected) * core_->costs().restore_pertask_ns;
+  ChargeAllCpus(*pause);
   return injected;
 }
 
@@ -544,11 +526,9 @@ Duration EnokiRuntime::ReinstallModule(std::unique_ptr<EnokiSched> module, Durat
   }
   // The module is back online before it sees its tasks, so a trip raised
   // by a re-injected wakeup walks the ladder from the state just entered.
-  const uint64_t reinjected = ReinjectQueuedTasks();
+  const uint64_t reinjected = Reinject(&pause);
   e.arg[restart ? 1 : 0] = restored ? 1 : 0;
   e.arg[restart ? 2 : 1] = reinjected;
-  pause += static_cast<Duration>(reinjected) * core_->costs().restore_pertask_ns;
-  ChargeAllCpus(pause);
   Record(e);
   ENOKI_WARN("enoki: %s (restored=%d, %" PRIu64 " tasks re-injected, pause %" PRIu64 "ns)", what,
              restored ? 1 : 0, reinjected, static_cast<uint64_t>(pause));
@@ -629,62 +609,43 @@ void EnokiRuntime::OnTaskStarved(Task* t, Duration runnable_ns) {
     return;
   }
   if (watchdog_->OnStarvation(t->pid(), runnable_ns) != TripReason::kNone) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "pid %" PRIu64 " runnable for %" PRIu64 "ns", t->pid(),
-                  static_cast<uint64_t>(runnable_ns));
-    TripWatchdog(TripReason::kStarvation, buf);
+    TripWatchdog(TripReason::kStarvation, "pid " + std::to_string(t->pid()) + " runnable for " +
+                                              std::to_string(runnable_ns) + "ns");
   }
 }
 
-void EnokiRuntime::DrainHints() {
-  for (size_t qid = 0; qid < user_queues_.size() && !ModuleOffline(); ++qid) {
-    HintQueue* q = user_queues_[qid].get();
-    while (!ModuleOffline()) {
-      auto hint = q->Pop();
-      if (!hint.has_value()) {
-        break;
-      }
-      RecordEntry e;
-      e.type = RecordType::kParseHint;
-      e.arg[0] = hint->w[0];
-      e.arg[1] = hint->w[1];
-      e.arg[2] = hint->w[2];
-      e.arg[3] = hint->w[3];
-      Record(e);
-      Guarded("parse_hint", [&] { module_->ParseHint(*hint); });
+bool EnokiRuntime::DrainHints() {
+  for (const auto& queue : user_queues_) {
+    std::optional<HintBlob> hint;
+    while (!ModuleOffline() && (hint = queue->Pop()).has_value()) {
+      RecordEntry e = Entry(RecordType::kParseHint);
+      std::copy(std::begin(hint->w), std::end(hint->w), e.arg);
+      Notify(-1, &e, "parse_hint", [&] { module_->ParseHint(*hint); });
     }
   }
+  return !ModuleOffline();
 }
 
 int EnokiRuntime::SelectTaskRq(Task* t, int prev_cpu, bool wake_sync, bool is_new) {
   const int home = prev_cpu >= 0 ? prev_cpu : 0;
   const int safe = t->affinity().Test(home) ? home : t->affinity().First();
-  if (ModuleOffline()) {
-    return safe;
-  }
-  DrainHints();
-  if (ModuleOffline()) {
+  if (!DrainHints()) {
     return safe;
   }
   SetCurrentKthread(home);
   TaskMessage msg = MakeMsg(t, prev_cpu, wake_sync);
   msg.is_new = is_new;
-  Charge(home);
+  RecordEntry e = Entry(RecordType::kSelectTaskRq, prev_cpu, t->pid(), msg.runtime);
+  e.flag = wake_sync;
+  e.arg[0] = NiceArg(t);
+  e.arg[1] = is_new ? 1 : 0;
   int cpu = -1;
-  if (!Guarded("select_task_rq", [&] { cpu = module_->SelectTaskRq(msg); })) {
+  if (!Query(home, e, "select_task_rq", [&] {
+        cpu = module_->SelectTaskRq(msg);
+        return static_cast<uint64_t>(cpu);
+      })) {
     return safe;
   }
-  RecordEntry e;
-  e.type = RecordType::kSelectTaskRq;
-  e.pid = t->pid();
-  e.cpu = prev_cpu;
-  e.runtime = msg.runtime;
-  e.flag = wake_sync;
-  e.arg[0] = static_cast<uint64_t>(t->nice() - kMinNice);
-  e.arg[1] = is_new ? 1 : 0;
-  e.has_resp = true;
-  e.resp0 = static_cast<uint64_t>(cpu);
-  Record(e);
   if (cpu < 0 || cpu >= core_->ncpus() || !t->affinity().Test(cpu)) {
     ENOKI_DEBUG("enoki: module chose invalid cpu %d for pid %llu", cpu,
                static_cast<unsigned long long>(t->pid()));
@@ -711,23 +672,15 @@ void EnokiRuntime::EnqueueTask(int cpu, Task* t, bool wakeup) {
     }
     return;
   }
-  SetCurrentKthread(cpu);
-  TaskMessage msg = MakeMsg(t, cpu);
-  Charge(cpu);
-  RecordEntry e;
-  e.type = wakeup ? RecordType::kTaskWakeup : RecordType::kTaskNew;
-  e.pid = t->pid();
-  e.cpu = cpu;
-  e.runtime = msg.runtime;
-  e.arg[0] = static_cast<uint64_t>(t->nice() - kMinNice);
-  Record(e);
   // If the callback throws, the freshly minted token dies in the unwind and
   // the module may never learn of the task — the classic lost-wakeup bug.
   // The starvation detector is what rescues the task in that case.
+  RecordEntry e = Entry(wakeup ? RecordType::kTaskWakeup : RecordType::kTaskNew, cpu);
+  e.arg[0] = NiceArg(t);
   if (wakeup) {
-    Guarded("task_wakeup", [&] { module_->TaskWakeup(msg, Mint(t, cpu)); });
+    HandToken(t, e, &EnokiSched::TaskWakeup, "task_wakeup");
   } else {
-    Guarded("task_new", [&] { module_->TaskNew(msg, Mint(t, cpu)); });
+    HandToken(t, e, &EnokiSched::TaskNew, "task_new");
   }
 }
 
@@ -743,31 +696,26 @@ void EnokiRuntime::DequeueTask(int cpu, Task* t, DequeueReason reason) {
     return;
   }
   SetCurrentKthread(cpu);
-  TaskMessage msg = MakeMsg(t, cpu);
-  Charge(cpu);
-  RecordEntry e;
-  e.pid = t->pid();
-  e.cpu = cpu;
-  e.runtime = msg.runtime;
+  const TaskMessage msg = MakeMsg(t, cpu);
+  RecordEntry e = Entry(RecordType::kTaskBlocked, cpu, t->pid(), msg.runtime);
   switch (reason) {
     case DequeueReason::kBlocked:
-      e.type = RecordType::kTaskBlocked;
-      Record(e);
-      Guarded("task_blocked", [&] { module_->TaskBlocked(msg); });
+      Notify(cpu, &e, "task_blocked", [&] { module_->TaskBlocked(msg); });
       break;
     case DequeueReason::kDead:
       e.type = RecordType::kTaskDead;
-      Record(e);
-      Guarded("task_dead", [&] { module_->TaskDead(t->pid()); });
+      Notify(cpu, &e, "task_dead", [&] { module_->TaskDead(t->pid()); });
       break;
     case DequeueReason::kDeparted: {
       e.type = RecordType::kTaskDeparted;
-      std::optional<Schedulable> token;
-      const bool ok = Guarded("task_departed", [&] { token = module_->TaskDeparted(msg); });
       e.has_resp = true;
-      e.resp0 = token.has_value() ? token->pid() : 0;
-      Record(e);
-      if (ok && (!token.has_value() || token->pid() != t->pid())) {
+      uint64_t returned = 0;
+      if (!Query(cpu, e, "task_departed", [&] {
+            const std::optional<Schedulable> token = module_->TaskDeparted(msg);
+            return returned = token.has_value() ? token->pid() : 0;
+          })) {
+        Record(e);  // a departure that threw is still recorded, with no token
+      } else if (returned != t->pid()) {
         ENOKI_WARN("enoki: task_departed returned wrong token for pid %llu",
                    static_cast<unsigned long long>(t->pid()));
       }
@@ -777,27 +725,17 @@ void EnokiRuntime::DequeueTask(int cpu, Task* t, DequeueReason reason) {
 }
 
 Task* EnokiRuntime::PickNextTask(int cpu) {
-  if (ModuleOffline()) {
+  if (!DrainHints()) {
     return nullptr;  // cede the CPU to lower classes (the fallback)
   }
-  DrainHints();
-  if (ModuleOffline()) {
-    return nullptr;
-  }
   SetCurrentKthread(cpu);
-  Charge(cpu);
   std::optional<Schedulable> token;
-  if (!Guarded("pick_next_task", [&] { token = module_->PickNextTask(cpu, std::nullopt); })) {
+  if (!Query(cpu, Entry(RecordType::kPickNextTask, cpu), "pick_next_task", [&] {
+        token = module_->PickNextTask(cpu, std::nullopt);
+        return token.has_value() ? token->pid() : 0;
+      }) ||
+      !token.has_value()) {
     return nullptr;  // a thrown pick is an idle pick
-  }
-  RecordEntry e;
-  e.type = RecordType::kPickNextTask;
-  e.cpu = cpu;
-  e.has_resp = true;
-  e.resp0 = token.has_value() ? token->pid() : 0;
-  Record(e);
-  if (!token.has_value()) {
-    return nullptr;
   }
   Task* t = nullptr;
   if (!ValidateForRun(*token, cpu, &t)) {
@@ -806,13 +744,8 @@ Task* EnokiRuntime::PickNextTask(int cpu) {
     // the token back through pnt_err (section 3.1).
     ++pick_errors_;
     core_->CountPickError();
-    RecordEntry err;
-    err.type = RecordType::kPntErr;
-    err.cpu = cpu;
-    err.pid = token->pid();
-    Record(err);
-    Charge(cpu);
-    Guarded("pnt_err", [&] { module_->PntErr(cpu, std::move(token)); });
+    const RecordEntry err = Entry(RecordType::kPntErr, cpu, token->pid());
+    Notify(cpu, &err, "pnt_err", [&] { module_->PntErr(cpu, std::move(token)); });
     if (watchdog_ != nullptr && !quarantined() &&
         watchdog_->OnPickError() != TripReason::kNone) {
       TripWatchdog(TripReason::kPickErrors, "repeated pick_next_task validation failures");
@@ -826,54 +759,36 @@ Task* EnokiRuntime::PickNextTask(int cpu) {
   return t;
 }
 
-void EnokiRuntime::TaskPreempted(int cpu, Task* t) { Requeue(cpu, t, /*yield=*/false); }
+void EnokiRuntime::TaskPreempted(int cpu, Task* t) {
+  if (Requeue(cpu, t)) {
+    HandToken(t, Entry(RecordType::kTaskPreempt, cpu), &EnokiSched::TaskPreempt, "task_preempt");
+  }
+}
 
-void EnokiRuntime::TaskYielded(int cpu, Task* t) { Requeue(cpu, t, /*yield=*/true); }
+void EnokiRuntime::TaskYielded(int cpu, Task* t) {
+  if (Requeue(cpu, t)) {
+    HandToken(t, Entry(RecordType::kTaskYield, cpu), &EnokiSched::TaskYield, "task_yield");
+  }
+}
 
-void EnokiRuntime::Requeue(int cpu, Task* t, bool yield) {
+bool EnokiRuntime::Requeue(int cpu, Task* t) {
   if (running_[cpu] == t->pid()) {
     running_[cpu] = 0;
   }
   queued_[cpu].insert(t->pid());
-  if (ModuleOffline()) {
-    return;
-  }
-  SetCurrentKthread(cpu);
-  TaskMessage msg = MakeMsg(t, cpu);
-  Charge(cpu);
-  RecordEntry e;
-  e.type = yield ? RecordType::kTaskYield : RecordType::kTaskPreempt;
-  e.pid = t->pid();
-  e.cpu = cpu;
-  e.runtime = msg.runtime;
-  Record(e);
-  if (yield) {
-    Guarded("task_yield", [&] { module_->TaskYield(msg, Mint(t, cpu)); });
-  } else {
-    Guarded("task_preempt", [&] { module_->TaskPreempt(msg, Mint(t, cpu)); });
-  }
+  return !ModuleOffline();
 }
 
 void EnokiRuntime::TaskTick(int cpu, Task* t) {
-  if (ModuleOffline()) {
-    return;
-  }
   // enter_queue: hints are also drained on the tick path so they stay
   // timely even when no scheduling decisions are pending.
-  DrainHints();
-  if (ModuleOffline()) {
+  if (!DrainHints()) {
     return;
   }
   SetCurrentKthread(cpu);
-  Charge(cpu);
   const Duration runtime = core_->TaskRuntime(t);
-  RecordEntry e;
-  e.type = RecordType::kTaskTick;
-  e.pid = t->pid();
-  e.cpu = cpu;
-  e.runtime = runtime;
-  Record(e);
-  Guarded("task_tick", [&] { module_->TaskTick(cpu, t->pid(), runtime); });
+  const RecordEntry e = Entry(RecordType::kTaskTick, cpu, t->pid(), runtime);
+  Notify(cpu, &e, "task_tick", [&] { module_->TaskTick(cpu, t->pid(), runtime); });
 }
 
 bool EnokiRuntime::Balance(int cpu) {
@@ -881,18 +796,12 @@ bool EnokiRuntime::Balance(int cpu) {
     return false;
   }
   SetCurrentKthread(cpu);
-  Charge(cpu);
   std::optional<uint64_t> pid;
-  if (!Guarded("balance", [&] { pid = module_->Balance(cpu); })) {
-    return false;
-  }
-  RecordEntry e;
-  e.type = RecordType::kBalance;
-  e.cpu = cpu;
-  e.has_resp = true;
-  e.resp0 = pid.value_or(0);
-  Record(e);
-  if (!pid.has_value()) {
+  if (!Query(cpu, Entry(RecordType::kBalance, cpu), "balance", [&] {
+        pid = module_->Balance(cpu);
+        return pid.value_or(0);
+      }) ||
+      !pid.has_value()) {
     return false;
   }
   Task* t = core_->FindTask(*pid);
@@ -905,13 +814,8 @@ bool EnokiRuntime::Balance(int cpu) {
   const bool movable = valid_offer && !core_->CpuKickPending(t->cpu());
   if (!movable) {
     ++balance_errors_;
-    RecordEntry err;
-    err.type = RecordType::kBalanceErr;
-    err.cpu = cpu;
-    err.pid = *pid;
-    Record(err);
-    Charge(cpu);
-    Guarded("balance_err", [&] { module_->BalanceErr(cpu, *pid, std::nullopt); });
+    const RecordEntry err = Entry(RecordType::kBalanceErr, cpu, *pid);
+    Notify(cpu, &err, "balance_err", [&] { module_->BalanceErr(cpu, *pid, std::nullopt); });
     if (!valid_offer && watchdog_ != nullptr && !quarantined() &&
         watchdog_->OnBalanceError() != TripReason::kNone) {
       TripWatchdog(TripReason::kBalanceErrors, "repeated balance validation failures");
@@ -920,30 +824,21 @@ bool EnokiRuntime::Balance(int cpu) {
   }
   const int from = t->cpu();
   queued_[from].erase(*pid);
-  MigrateMessage mig;
-  mig.pid = *pid;
-  mig.from_cpu = from;
-  mig.to_cpu = cpu;
-  mig.runtime = core_->TaskRuntime(t);
-  Charge(cpu);
-  std::optional<Schedulable> old_token;
-  if (!Guarded("migrate_task_rq",
-               [&] { old_token = module_->MigrateTaskRq(mig, Mint(t, cpu)); })) {
+  const MigrateMessage mig{
+      .pid = *pid, .from_cpu = from, .to_cpu = cpu, .runtime = core_->TaskRuntime(t)};
+  RecordEntry me = Entry(RecordType::kMigrateTaskRq, cpu, *pid);
+  me.arg[0] = static_cast<uint64_t>(from);
+  uint64_t returned = 0;
+  if (!Query(cpu, me, "migrate_task_rq", [&] {
+        return returned = module_->MigrateTaskRq(mig, Mint(t, cpu)).pid();
+      })) {
     // The migration never happened: put the bookkeeping back. Any token the
     // module still holds is stale (Mint bumped the generation), so a later
     // pick of this pid bounces through pnt_err until the module recovers.
     queued_[from].insert(*pid);
     return false;
   }
-  RecordEntry me;
-  me.type = RecordType::kMigrateTaskRq;
-  me.pid = *pid;
-  me.cpu = cpu;
-  me.arg[0] = static_cast<uint64_t>(from);
-  me.has_resp = true;
-  me.resp0 = old_token.has_value() && old_token->valid() ? old_token->pid() : 0;
-  Record(me);
-  if (!old_token.has_value() || !old_token->valid() || old_token->pid() != *pid) {
+  if (returned != *pid) {
     // Best-effort check: the paper notes the old token cannot be fully
     // validated (section 3.1).
     ENOKI_WARN("enoki: migrate_task_rq returned unexpected token for pid %llu",
@@ -959,53 +854,34 @@ void EnokiRuntime::TimerFired(int cpu) {
     return;
   }
   SetCurrentKthread(cpu);
-  Charge(cpu);
-  RecordEntry e;
-  e.type = RecordType::kTimerFired;
-  e.cpu = cpu;
-  Record(e);
-  Guarded("timer_fired", [&] { module_->TimerFired(cpu); });
+  const RecordEntry e = Entry(RecordType::kTimerFired, cpu);
+  Notify(cpu, &e, "timer_fired", [&] { module_->TimerFired(cpu); });
 }
 
 void EnokiRuntime::AffinityChanged(Task* t) {
   if (ModuleOffline()) {
     return;
   }
-  Charge(t->cpu());
-  RecordEntry e;
-  e.type = RecordType::kAffinityChanged;
-  e.pid = t->pid();
+  RecordEntry e = Entry(RecordType::kAffinityChanged, -1, t->pid());
   e.arg[0] = t->affinity().word(0);
   e.arg[1] = t->affinity().word(1);
-  Record(e);
-  Guarded("affinity_changed", [&] { module_->TaskAffinityChanged(t->pid(), t->affinity()); });
+  Notify(t->cpu(), &e, "affinity_changed",
+         [&] { module_->TaskAffinityChanged(t->pid(), t->affinity()); });
 }
 
 void EnokiRuntime::PrioChanged(Task* t) {
   if (ModuleOffline()) {
     return;
   }
-  Charge(t->cpu());
-  RecordEntry e;
-  e.type = RecordType::kPrioChanged;
-  e.pid = t->pid();
-  e.arg[0] = static_cast<uint64_t>(t->nice() - kMinNice);
-  Record(e);
-  Guarded("prio_changed", [&] { module_->TaskPrioChanged(t->pid(), t->nice()); });
+  RecordEntry e = Entry(RecordType::kPrioChanged, -1, t->pid());
+  e.arg[0] = NiceArg(t);
+  Notify(t->cpu(), &e, "prio_changed", [&] { module_->TaskPrioChanged(t->pid(), t->nice()); });
 }
-
-Time EnokiRuntime::Now() const { return core_->now(); }
-int EnokiRuntime::NumCpus() const { return core_->ncpus(); }
-int EnokiRuntime::NodeOf(int cpu) const { return core_->NodeOf(cpu); }
-
-int EnokiRuntime::SiblingOf(int cpu) const { return core_->SiblingOf(cpu); }
 
 void EnokiRuntime::ArmTimer(int cpu, Duration delay) {
   core_->ChargeCpu(cpu, core_->costs().timer_arm_ns);
   core_->ArmClassTimer(cpu, delay, this);
 }
-
-void EnokiRuntime::ReschedCpu(int cpu) { core_->KickCpu(cpu); }
 
 void EnokiRuntime::BusyWait(int cpu, Duration d) {
   if (cpu < 0 || cpu >= core_->ncpus()) {
@@ -1053,154 +929,164 @@ std::optional<HintBlob> EnokiRuntime::PollRevHint(int queue_id) {
   return rev_queues_[queue_id]->Pop();
 }
 
-UpgradeReport EnokiRuntime::Upgrade(std::unique_ptr<EnokiSched> next, const UpgradeOptions& opts) {
+UpgradeReport EnokiRuntime::Upgrade(std::unique_ptr<EnokiSched> next) {
   UpgradeReport report;
-  if (next == nullptr) {
-    report.error = "null module";
-    return report;
-  }
-  if (ModuleOffline()) {
-    // Refused before any quiesce attempt: no pause is charged and the
-    // upgrade counter is untouched.
-    report.error = "module quarantined by watchdog; upgrade refused";
-    return report;
-  }
-  if (in_probation()) {
-    report.error = "previous upgrade still in probation; upgrade refused";
-    return report;
-  }
-  // Flap damping: a fingerprint that keeps failing probation is refused
-  // outright until the rolling window drains — no quiesce, no pause, no
-  // chance to churn the module slot a fourth time.
-  const uint64_t incoming_fp = ModuleFingerprint(next.get());
-  report.incoming_fingerprint = incoming_fp;
-  PruneFlapWindow(core_->now());
-  const uint64_t flaps = static_cast<uint64_t>(std::count_if(
-      flap_failures_.begin(), flap_failures_.end(), [&](auto& f) { return f.first == incoming_fp; }));
-  if (incoming_fp != 0 && flaps >= flap_config_.max_failures) {
-    ++fingerprint_refusals_;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "incoming fingerprint flapping (%" PRIu64 " probation failures in window);"
-                  " upgrade refused",
-                  flaps);
-    report.error = buf;
-    report.refused_flapping = true;
-    return report;
-  }
-  const SimCosts& costs = core_->costs();
-  // Quiesce: acquire the per-scheduler read-write lock in write mode. The
-  // pause is the reader drain (one in-flight call per CPU in the worst
-  // case), the prepare/init calls, and the pointer swap.
-  Duration pause = SwapPause(costs.upgrade_swap_ns + 2 * costs.enoki_call_ns);
-
-  // Checkpoint the outgoing module *before* ReregisterPrepare disturbs its
-  // state: if the incoming module fails init or probation, this snapshot is
-  // what the transaction rolls back to.
-  Checkpoint ck;
-  const bool checkpointed = TakeCheckpoint(module_.get(), &ck);
-  report.checkpointed = checkpointed;
-  pause += checkpointed ? costs.checkpoint_save_ns : 0;
-
   TransferState state;
-  try {
-    state = module_->ReregisterPrepare();
-  } catch (const std::exception& ex) {
-    // The old module would not quiesce. Abort before the swap: it stays
-    // installed and keeps running; no pause is charged because the write
-    // lock was released without a handoff.
-    report.error = std::string("module refused to quiesce: ") + ex.what();
+  if (!AdmitUpgrade(next.get(), &report) || !Quiesce(&state, &report)) {
     return report;
   }
-  if (checkpointed) {
-    checkpoints_.Push(std::move(ck));  // what an abort or a rollback restores
-  }
+  // The pause: the write-locked quiesce's reader drain (one in-flight call
+  // per CPU), the prepare/init calls, the pointer swap and the checkpoint.
+  const SimCosts& costs = core_->costs();
+  const Duration pause = SwapPause(costs.upgrade_swap_ns + 2 * costs.enoki_call_ns) +
+                         (report.checkpointed ? costs.checkpoint_save_ns : 0);
   // Probe whether the incoming module actually adopts the transferred state.
   // A cross-policy upgrade names a different transfer type, so Take() fails,
   // the carried Schedulable tokens die with the transfer, and the commit path
   // must re-inject queued tasks as fresh wakeups or they strand forever.
   std::shared_ptr<bool> consumed = state.AttachConsumptionProbe();
-  next->Attach(this);
-  EnokiSched* incoming = next.get();
   std::unique_ptr<EnokiSched> outgoing = std::move(module_);
+  std::string what;
+  if (SwapIn(std::move(next), std::move(state), &what)) {
+    CommitUpgrade(std::move(outgoing), pause, *consumed, &report);
+  } else {
+    AbortUpgrade(std::move(outgoing), pause, what, &report);
+  }
+  return report;
+}
+
+bool EnokiRuntime::AdmitUpgrade(const EnokiSched* next, UpgradeReport* report) {
+  // Every refusal comes before any quiesce attempt: no pause is charged and
+  // the upgrade counter is untouched.
+  const char* refusal = next == nullptr   ? "null module"
+                        : ModuleOffline() ? "module quarantined by watchdog; upgrade refused"
+                        : in_probation()  ? "previous upgrade still in probation; upgrade refused"
+                                          : nullptr;
+  if (refusal != nullptr) {
+    report->error = refusal;
+    return false;
+  }
+  // Flap damping: a fingerprint that keeps failing probation is refused
+  // outright until the rolling window drains — no chance to churn the
+  // module slot a fourth time.
+  const uint64_t fp = ModuleFingerprint(next);
+  report->incoming_fingerprint = fp;
+  const Time now = core_->now();
+  std::erase_if(flap_failures_, [&](auto& f) { return now - f.second > kFlapWindowNs; });
+  const uint64_t flaps = static_cast<uint64_t>(std::count_if(
+      flap_failures_.begin(), flap_failures_.end(), [&](auto& f) { return f.first == fp; }));
+  if (fp == 0 || flaps < kFlapMaxFailures) {
+    return true;
+  }
+  ++fingerprint_refusals_;
+  report->error = "incoming fingerprint flapping (" + std::to_string(flaps) +
+                  " probation failures in window); upgrade refused";
+  report->refused_flapping = true;
+  return false;
+}
+
+bool EnokiRuntime::Quiesce(TransferState* state, UpgradeReport* report) {
+  // Checkpoint the outgoing module *before* ReregisterPrepare disturbs its
+  // state: if the incoming module fails init or probation, this snapshot is
+  // what the transaction rolls back to.
+  Checkpoint ck;
+  report->checkpointed = TakeCheckpoint(module_.get(), &ck);
+  try {
+    *state = module_->ReregisterPrepare();
+  } catch (const std::exception& ex) {
+    // The old module would not quiesce: it stays installed and keeps
+    // running; no pause is charged because the write lock was released
+    // without a handoff.
+    report->error = std::string("module refused to quiesce: ") + ex.what();
+    return false;
+  }
+  if (report->checkpointed) {
+    checkpoints_.Push(std::move(ck));  // what an abort or a rollback restores
+  }
+  return true;
+}
+
+bool EnokiRuntime::SwapIn(std::unique_ptr<EnokiSched> next, TransferState state,
+                          std::string* what) {
+  next->Attach(this);
   module_ = std::move(next);
   try {
-    incoming->ReregisterInit(std::move(state));
+    module_->ReregisterInit(std::move(state));
   } catch (const std::exception& ex) {
-    if (checkpointed) {
-      // Transaction abort: reinstall the outgoing module and restore the
-      // accounting state we snapshotted before prepare. Queued tasks are
-      // re-injected as wakeups so nothing is lost; the broken incoming
-      // module dies having never owned a task. The rejection counts against
-      // the incoming fingerprint just like a probation trip would: it is the
-      // same "this build cannot take the slot" signal, one rung earlier.
-      RecordFlapFailure(incoming_fp, core_->now());
-      report.error =
-          std::string("new module rejected transferred state; rolled back: ") + ex.what();
-      report.rolled_back = true;
-      report.pause_ns =
-          ReinstallModule(std::move(outgoing), pause, "upgrade aborted, rolled back to predecessor");
-      return report;
-    }
-    // Legacy (non-checkpointable module) path: the swap already happened and
-    // the old module's state is gone. The new module is installed but
-    // broken. With a watchdog this is a containment event (quarantine +
-    // fallback, zero task loss); without one the caller only gets the error.
-    report.error = std::string("new module rejected transferred state: ") + ex.what();
-    report.pause_ns = pause;
-    ++escaped_exceptions_;
-    ChargeAllCpus(pause);
-    ENOKI_WARN("enoki: upgrade failed after swap: %s", report.error.c_str());
-    if (watchdog_ != nullptr) {
-      TripWatchdog(TripReason::kUpgradeFailure, report.error);
-    }
-    return report;
+    *what = ex.what();
+    return false;
   }
+  return true;
+}
 
-  // Commit: only successful swaps count as upgrades.
+void EnokiRuntime::AbortUpgrade(std::unique_ptr<EnokiSched> outgoing, Duration pause,
+                                const std::string& what, UpgradeReport* report) {
+  if (report->checkpointed) {
+    // Transaction abort: reinstall the outgoing module and restore the
+    // accounting state snapshotted before prepare. Queued tasks are
+    // re-injected as wakeups so nothing is lost; the broken incoming module
+    // dies having never owned a task. The rejection counts against the
+    // incoming fingerprint just like a probation trip would: it is the same
+    // "this build cannot take the slot" signal, one rung earlier.
+    flap_failures_.emplace_back(report->incoming_fingerprint, core_->now());
+    report->error = "new module rejected transferred state; rolled back: " + what;
+    report->rolled_back = true;
+    report->pause_ns =
+        ReinstallModule(std::move(outgoing), pause, "upgrade aborted, rolled back to predecessor");
+    return;
+  }
+  // Legacy (non-checkpointable module) path: the swap already happened and
+  // the old module's state is gone. The new module is installed but broken.
+  // With a watchdog this is a containment event (quarantine + fallback, zero
+  // task loss); without one the caller only gets the error.
+  report->error = "new module rejected transferred state: " + what;
+  report->pause_ns = pause;
+  ++escaped_exceptions_;
+  ChargeAllCpus(pause);
+  ENOKI_WARN("enoki: upgrade failed after swap: %s", report->error.c_str());
+  if (watchdog_ != nullptr) {
+    TripWatchdog(TripReason::kUpgradeFailure, report->error);
+  }
+}
+
+void EnokiRuntime::CommitUpgrade(std::unique_ptr<EnokiSched> outgoing, Duration pause,
+                                 bool consumed, UpgradeReport* report) {
   ++upgrades_;
   // Every CPU's next scheduling operation is delayed by the blackout.
   ChargeAllCpus(pause);
-  report.ok = true;
-  report.pause_ns = pause;
-  RecordEntry e;
-  e.type = RecordType::kUpgrade;
+  report->ok = true;
+  report->pause_ns = pause;
+  RecordEntry e = Entry(RecordType::kUpgrade);
   e.arg[0] = upgrades_;
-  e.arg[1] = checkpointed ? 1 : 0;
+  e.arg[1] = report->checkpointed ? 1 : 0;
   Record(e);
-  if (checkpointed && watchdog_ != nullptr) {
+  if (report->checkpointed && watchdog_ != nullptr) {
     // Probation: the outgoing module stays parked as the rollback target
-    // until the incoming one survives a window under tightened budgets.
-    // Absent a caller override, the budgets are the incoming policy's own
-    // DefaultProbation() — a central dispatcher and a work-stealing balancer
-    // do not false-positive on the same thresholds.
+    // until the incoming one survives a window under the incoming policy's
+    // own DefaultProbation() budgets — a central dispatcher and a
+    // work-stealing balancer do not false-positive on the same thresholds.
     prev_module_ = std::move(outgoing);
-    incoming_fingerprint_ = incoming_fp;
+    incoming_fingerprint_ = report->incoming_fingerprint;
     ProbationConfig probation;
     try {
-      probation = opts.probation.value_or(incoming->DefaultProbation());
+      probation = module_->DefaultProbation();
     } catch (...) {
       probation = ProbationConfig{};
     }
     BeginProbation(probation, SlotState::kUpgradeProbation);
   }
-  if (!*consumed) {
-    // The incoming module did not take the transfer (different policy, or the
-    // outgoing module exported nothing): every token it carried is gone.
-    // Re-inject queued tasks with freshly minted tokens, exactly like the
-    // rollback and restart paths, so a cross-policy upgrade loses no tasks.
-    // Runs after probation is armed so a misbehaving successor that trips the
+  if (!consumed) {
+    // The incoming module did not take the transfer (different policy, or
+    // the outgoing module exported nothing): every token it carried is gone.
+    // Re-inject the queued tasks with freshly minted tokens, as a reinstall
+    // does. Runs after probation is armed so a successor that trips the
     // watchdog here is contained by the normal probation rollback.
-    const uint64_t reinjected = ReinjectQueuedTasks();
-    if (reinjected > 0) {
-      const Duration extra = static_cast<Duration>(reinjected) * costs.restore_pertask_ns;
-      pause += extra;
-      report.pause_ns = pause;
-      ChargeAllCpus(extra);
+    Duration restore = 0;
+    if (Reinject(&restore) > 0) {
+      report->pause_ns += restore;
       KickAllCpus();
     }
   }
-  return report;
 }
 
 void AttachShardMergeRecorder(ShardedEventLoop& engine, Recorder* recorder) {

@@ -15,6 +15,7 @@
 #ifndef SRC_ENOKI_RUNTIME_H_
 #define SRC_ENOKI_RUNTIME_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,33 +41,14 @@ struct UpgradeReport {
   std::string error;
   bool checkpointed = false;  // outgoing state captured before the swap
   bool rolled_back = false;   // post-swap init failure undone from the checkpoint
-  // Flap damping: the incoming module's fingerprint has failed probation too
-  // many times inside the rolling window and the upgrade was refused before
-  // any quiesce attempt (no pause charged, no state disturbed).
-  bool refused_flapping = false;
+  bool refused_flapping = false;      // refused by flap damping (kFlapMaxFailures)
   uint64_t incoming_fingerprint = 0;  // VersionFingerprint() of `next`
-};
-
-// Options for a transactional upgrade. Probation requires an armed watchdog
-// and a checkpointable outgoing module; when either is missing the upgrade
-// commits immediately, as before.
-struct UpgradeOptions {
-  // nullopt = the incoming module's own DefaultProbation() budgets.
-  std::optional<ProbationConfig> probation;
-};
-
-// Version-fingerprint flap damping: after `max_failures` probation failures
-// of the same incoming fingerprint within the rolling window, further
-// upgrades to that fingerprint are refused until the window drains.
-struct FlapDampingConfig {
-  uint64_t max_failures = 3;
-  Duration window_ns = Milliseconds(50);
 };
 
 class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
  public:
   explicit EnokiRuntime(std::unique_ptr<EnokiSched> module);
-  ~EnokiRuntime() override;
+  ~EnokiRuntime() override = default;
 
   // ---- SchedClass (calls from the simulated kernel) ----
   const char* name() const override { return "enoki"; }
@@ -86,12 +68,12 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   void OnTaskStarved(Task* t, Duration runnable_ns) override;
 
   // ---- EnokiKernelEnv (services for the module) ----
-  Time Now() const override;
-  int NumCpus() const override;
-  int NodeOf(int cpu) const override;
-  int SiblingOf(int cpu) const override;
+  Time Now() const override { return core_->now(); }
+  int NumCpus() const override { return core_->ncpus(); }
+  int NodeOf(int cpu) const override { return core_->NodeOf(cpu); }
+  int SiblingOf(int cpu) const override { return core_->SiblingOf(cpu); }
   void ArmTimer(int cpu, Duration delay) override;
-  void ReschedCpu(int cpu) override;
+  void ReschedCpu(int cpu) override { core_->KickCpu(cpu); }
   void BusyWait(int cpu, Duration d) override;
   void PushRevHint(int queue_id, const HintBlob& hint) override;
 
@@ -110,10 +92,16 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   // Transactional: the outgoing module's accounting state is checkpointed
   // before the swap (when it supports SaveCheckpoint), a post-swap init
   // failure rolls back to the checkpointed predecessor, and — with a
-  // watchdog armed — the incoming module runs a probation window under
-  // tightened budgets before the upgrade commits.
-  UpgradeReport Upgrade(std::unique_ptr<EnokiSched> next,
-                        const UpgradeOptions& opts = UpgradeOptions{});
+  // watchdog armed and a checkpoint taken — the incoming module runs a
+  // probation window under its own DefaultProbation() budgets before the
+  // upgrade commits.
+  UpgradeReport Upgrade(std::unique_ptr<EnokiSched> next);
+
+  // Flap damping: after kFlapMaxFailures failed upgrades (probation trips or
+  // init rejections) of one incoming fingerprint within kFlapWindowNs,
+  // upgrades to that fingerprint are refused until the window drains.
+  static constexpr uint64_t kFlapMaxFailures = 3;
+  static constexpr Duration kFlapWindowNs = Milliseconds(50);
 
   // ---- Fault containment (src/fault) ----
   // Arms the watchdog. `fallback_policy` names the registered class
@@ -152,13 +140,6 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   // on probation (an unproven module must not overwrite proven generations);
   // a terminal quarantine stops the cadence for good.
   void SetCheckpointInterval(Duration interval);
-  Duration checkpoint_interval() const { return checkpoint_interval_; }
-
-  // Resizes the generation ring (K, default CheckpointStore::kDefaultCapacity).
-  void SetCheckpointCapacity(size_t k) { checkpoints_.set_capacity(k); }
-
-  // Configures version-fingerprint flap damping for Upgrade().
-  void SetFlapDamping(const FlapDampingConfig& cfg) { flap_config_ = cfg; }
 
   // The module slot's rung on the recovery ladder; DESIGN.md "Recovery
   // ladder" lists the legal edges. The order is load-bearing: from
@@ -189,17 +170,17 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
     return newest == nullptr ? std::nullopt : std::optional<Checkpoint>(*newest);
   }
   const CheckpointStore& checkpoint_store() const { return checkpoints_; }
-  // Mutable ring access for fault sweeps and fixtures (ring-slot bit-rot).
+  // Mutable ring access for fault sweeps and fixtures (ring-slot bit-rot,
+  // ring capacity).
   CheckpointStore* mutable_checkpoint_store() { return &checkpoints_; }
 
   // Deterministic restore timeline: one line per walk step ("skip"/"restore"
   // with simulated time, sequence, reason). Identical seeds must produce
   // byte-identical strings — the sweep tests' fallback-order fingerprint.
-  std::string RestoreTimelineString() const;
+  std::string RestoreTimelineString() const { return restore_log_; }
 
   // ---- Record mode (section 3.4) ----
   void SetRecorder(Recorder* recorder) { recorder_ = recorder; }
-  Recorder* recorder() const { return recorder_; }
 
   // ---- Introspection ----
   EnokiSched* module() const { return module_.get(); }
@@ -221,7 +202,6 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   // actually loaded). Both 0 until a restore runs.
   uint64_t last_restore_depth() const { return last_restore_depth_; }
   Duration last_restore_age_ns() const { return last_restore_age_ns_; }
-  const FlightRecorder& flight_recorder() const { return flight_; }
   size_t QueuedCount(int cpu) const { return queued_[cpu].size(); }
 
  private:
@@ -231,18 +211,30 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   bool ValidateForRun(const Schedulable& s, int cpu, Task** out_task) const;
   void Charge(int cpu);
   void Record(const RecordEntry& entry);
-  void DrainHints();
+  // Feeds queued user hints to the module; false when the module is (or
+  // went) offline.
+  bool DrainHints();
   // TaskPreempted / TaskYielded: the running task goes back on the queue.
-  void Requeue(int cpu, Task* t, bool yield);
+  // False when the module is offline and must not hear of it.
+  bool Requeue(int cpu, Task* t);
 
-  // Runs one module callback with the containment boundary around it:
-  // traps escaping exceptions (HandleEscape) and, on normal completion,
-  // accounts the call's latency against the watchdog budget and, when
-  // `probation_call`, toward an open probation window (FinishCall).
-  // Returns false if the callback threw; the caller applies its per-site
-  // degraded behavior (e.g. treat a thrown pick as "idle").
+  // The one call path into the module. Notify charges `cpu` (none when
+  // negative), records `*e` (when non-null) and runs `fn` inside the
+  // containment boundary: an escape goes to HandleEscape, a normal return to
+  // FinishCall. Query charges `cpu`, runs `fn` the same way and, if it
+  // returned, records `e` with fn's result as resp0. Both return false if
+  // the callback threw; the caller degrades per site (a thrown pick idles).
   template <typename Fn>
-  bool Guarded(const char* site, Fn&& fn, bool probation_call = true);
+  bool Notify(int cpu, const RecordEntry* e, const char* site, Fn&& fn,
+              bool probation_call = true);
+  template <typename Fn>
+  bool Query(int cpu, RecordEntry e, const char* site, Fn&& fn);
+  // The token-handing callbacks (new, wakeup, preempt, yield): enters
+  // e.cpu's kernel thread and notifies the module with the task's message
+  // and a freshly minted token; `e` gets the task's pid and runtime.
+  using TokenCall = void (EnokiSched::*)(const TaskMessage&, Schedulable);
+  void HandToken(Task* t, RecordEntry e, TokenCall call, const char* site,
+                 bool probation_call = true);
   // Must be called from a catch block: counts the escape and either
   // rethrows (no watchdog) or reports it, possibly tripping.
   void HandleEscape(const char* site, const char* what);
@@ -280,16 +272,14 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   bool RestoreFromCheckpoint(EnokiSched* module);
   // VersionFingerprint(), with a throwing override treated as unknown (0).
   static uint64_t ModuleFingerprint(const EnokiSched* module);
-  // Flap damping: drops window-expired failures / records one failure.
-  void PruneFlapWindow(Time now);
-  void RecordFlapFailure(uint64_t fingerprint, Time now);
   void AppendRestoreLog(const char* verdict, const Checkpoint& ck, const char* reason);
   // Self-rescheduling periodic-checkpoint timer (SetCheckpointInterval).
   void ArmCheckpointCadence(uint64_t epoch);
   // Re-injects every queued task into the module as a wakeup with a freshly
-  // minted token, stopping once the module goes offline; returns how many
-  // were injected.
-  uint64_t ReinjectQueuedTasks();
+  // minted token, stopping once the module goes offline; adds their restore
+  // cost to *pause, charges *pause to every CPU and returns how many were
+  // injected.
+  uint64_t Reinject(Duration* pause);
   // The one module-reinstall path (probation rollback, supervised restart,
   // upgrade init-failure abort): installs and attaches `module`, restores
   // it from the ring, enters kActive (kRestartProbation after a restart),
@@ -305,6 +295,19 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   void PerformRestart();
   void KickAllCpus();
 
+  // Upgrade()'s ladder steps, in order. Admit refuses a null, offline,
+  // on-probation or flapping upgrade. Quiesce checkpoints the outgoing module
+  // and calls its ReregisterPrepare; SwapIn installs `next` and calls its
+  // ReregisterInit (each false if that throws). Then AbortUpgrade undoes the
+  // failed init, or CommitUpgrade records the upgrade and opens probation.
+  bool AdmitUpgrade(const EnokiSched* next, UpgradeReport* report);
+  bool Quiesce(TransferState* state, UpgradeReport* report);
+  bool SwapIn(std::unique_ptr<EnokiSched> next, TransferState state, std::string* what);
+  void AbortUpgrade(std::unique_ptr<EnokiSched> outgoing, Duration pause, const std::string& what,
+                    UpgradeReport* report);
+  void CommitUpgrade(std::unique_ptr<EnokiSched> outgoing, Duration pause, bool consumed,
+                     UpgradeReport* report);
+
   std::unique_ptr<EnokiSched> module_;
   Recorder* recorder_ = nullptr;
 
@@ -318,18 +321,15 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
       if (pid >= in_.size()) {
         in_.resize(pid + 1, 0);
       }
-      if (in_[pid] == 0) {
-        in_[pid] = 1;
-        ++count_;
-      }
+      in_[pid] = 1;
     }
     void erase(uint64_t pid) {
-      if (pid < in_.size() && in_[pid] != 0) {
+      if (pid < in_.size()) {
         in_[pid] = 0;
-        --count_;
       }
     }
-    size_t size() const { return count_; }
+    // Counted on demand: only introspection (QueuedCount) asks.
+    size_t size() const { return static_cast<size_t>(std::count(in_.begin(), in_.end(), 1)); }
 
     // Visits members in ascending pid order (deterministic recovery sweeps).
     template <typename Fn>
@@ -343,7 +343,6 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
 
    private:
     std::vector<uint8_t> in_;
-    size_t count_ = 0;
   };
 
   // Kernel-side run-queue bookkeeping: pids queued (runnable, not running)
@@ -397,15 +396,14 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   Duration checkpoint_interval_ = 0;
   uint64_t cadence_epoch_ = 0;
 
-  // Version-fingerprint flap damping: (fingerprint, failure time) pairs
-  // within the rolling window, appended in simulated-time order.
-  FlapDampingConfig flap_config_;
+  // Version-fingerprint flap damping: (fingerprint, failure time) pairs,
+  // appended in simulated-time order; AdmitUpgrade drops the expired ones.
   std::vector<std::pair<uint64_t, Time>> flap_failures_;
   // Fingerprint of the module whose upgrade probation is currently open.
   uint64_t incoming_fingerprint_ = 0;
 
   // Deterministic restore timeline (see RestoreTimelineString).
-  std::vector<std::string> restore_log_;
+  std::string restore_log_;
 
   uint64_t rollbacks_ = 0;
   uint64_t module_restarts_ = 0;
