@@ -135,10 +135,14 @@ TaskMessage MsgFrom(const RecordEntry& e) {
 }
 
 // Whether every CPU a recorded call hands the module exists on an
-// `ncpus`-CPU machine. A record file is untrusted input: a module indexes
-// its per-CPU state with these. Selection may carry prev_cpu -1 (a new
+// `ncpus`-CPU machine and its pid is at most kMaxPid. A record file is
+// untrusted input: a module indexes its per-CPU state with the CPUs and
+// sizes per-pid tables by the pid. Selection may carry prev_cpu -1 (a new
 // task); the per-task notifications name no CPU the module indexes.
-bool CpusInRange(const RecordEntry& e, int ncpus) {
+bool InRange(const RecordEntry& e, int ncpus) {
+  if (e.pid > CheckpointArchive::kMaxPid) {
+    return false;
+  }
   switch (e.type) {
     case RecordType::kTaskNew:
     case RecordType::kTaskWakeup:
@@ -297,8 +301,8 @@ ReplayResult ReplayEngine::Run(EnokiSched* module) {
     if (IsLockEntry(e.type)) {
       continue;
     }
-    if (!CpusInRange(e, env_.NumCpus())) {
-      ++result.bad_cpu_skipped;
+    if (!InRange(e, env_.NumCpus())) {
+      ++result.out_of_range_skipped;
       continue;
     }
     std::shared_ptr<Gate> prev = last_gate.count(e.kthread) ? last_gate[e.kthread] : nullptr;

@@ -34,7 +34,7 @@ struct ReplayResult {
   uint64_t response_mismatches = 0;
   uint64_t lock_blocks = 0;   // acquisitions that had to wait for their turn
   uint64_t lock_timeouts = 0; // recorded order could not be satisfied
-  uint64_t bad_cpu_skipped = 0;  // calls naming a CPU the machine lacks
+  uint64_t out_of_range_skipped = 0;  // calls naming a CPU the machine lacks or a pid > kMaxPid
   double parse_seconds = 0.0;
   double replay_seconds = 0.0;
 };
