@@ -64,6 +64,32 @@ void BM_PipeLatencyVsEnokiCallCost(benchmark::State& state) {
 }
 BENCHMARK(BM_PipeLatencyVsEnokiCallCost)->Arg(0)->Arg(125)->Arg(250)->Arg(500);
 
+// Host time per module call of a short pipe through EnokiRuntime+WFQ, with
+// no tracing wrapper around the calls: the whole simulation's host time
+// divided by the module calls it made. Arg 0 runs the bare shim, arg 1 adds
+// the watchdog (its per-call latency check and histogram); the flight ring
+// is always on. The difference between the two is the watchdog's share.
+void BM_EnokiShimHostNsPerCall(benchmark::State& state) {
+  const bool watchdog = state.range(0) != 0;
+  uint64_t calls = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Stack s = MakeEnokiStack(std::make_unique<WfqSched>(0));
+    if (watchdog) {
+      s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
+    }
+    PipeBenchConfig cfg;
+    cfg.messages = 2'000;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(RunPipeBench(*s.core, s.policy, cfg).completed);
+    calls += s.runtime->module_calls();
+  }
+  // Host seconds per call; the console prints it SI-scaled, e.g. "90ns".
+  state.counters["host_time_per_call"] = benchmark::Counter(
+      static_cast<double>(calls), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EnokiShimHostNsPerCall)->ArgName("watchdog")->Arg(0)->Arg(1);
+
 // Host-side simulator throughput: simulated pipe events per host second.
 void BM_SimulatorEventRate(benchmark::State& state) {
   uint64_t events = 0;

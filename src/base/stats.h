@@ -58,12 +58,19 @@ class LatencyRecorder {
  public:
   static constexpr int kSubBuckets = 64;
 
-  void Record(Duration ns) {
-    ++count_;
+  void Record(Duration ns) { Record(ns, 1); }
+
+  // Records `n` samples of the same value: identical to n calls of
+  // Record(ns), including the sum's wrap-around. n == 0 is a no-op.
+  void Record(Duration ns, uint64_t n) {
+    if (n == 0) {
+      return;
+    }
+    count_ += n;
     min_ = std::min(min_, ns);
     max_ = std::max(max_, ns);
-    sum_ += ns;
-    buckets_[BucketIndex(ns)]++;
+    sum_ += ns * n;
+    buckets_[BucketIndex(ns)] += n;
   }
 
   uint64_t count() const { return count_; }

@@ -71,7 +71,15 @@ std::vector<RecordEntry> FlightRecorder::Tail(size_t max_entries) const {
   std::vector<RecordEntry> out;
   out.reserve(n);
   for (uint64_t i = seq_ - n; i < seq_; ++i) {
-    out.push_back(ring_[i & mask_]);
+    const Slot& slot = ring_[i & mask_];
+    RecordEntry& e = out.emplace_back();
+    e.seq = i + 1;
+    e.time = slot.time;
+    e.kthread = slot.kthread;
+    e.type = slot.type;
+    e.pid = slot.pid;
+    e.cpu = slot.cpu;
+    e.resp0 = slot.resp0;
   }
   return out;
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/base/check.h"
+#include "src/base/cpumask.h"
 #include "src/base/ring_buffer.h"
 #include "src/base/time.h"
 #include "src/enoki/lock.h"
@@ -82,11 +83,17 @@ struct RecordEntry {
   bool flag = false;  // wake_sync and similar per-type booleans
 };
 
-// Always-on flight recorder: a small fixed ring of the most recent record
-// entries, appended to by the runtime even when no Recorder is attached, so
-// a CrashReport can carry the module's last calls without the record
-// system's ring+drain machinery (and without its per-call simulated cost —
-// a fixed-size in-kernel ring is free at this model's granularity).
+// Always-on flight recorder: a small fixed ring of the most recent calls
+// (and runtime lifecycle events), appended to by the runtime even when no
+// Recorder is attached, so a CrashReport can carry the module's last calls
+// without the record system's ring+drain machinery (and without its
+// per-call simulated cost — a fixed-size in-kernel ring is free at this
+// model's granularity).
+//
+// A slot keeps only the fields CrashReport::ToString prints — time, type,
+// pid, cpu, resp0 — plus kthread; seq is the slot's position in the append
+// order. That keeps the per-call write at 32 bytes instead of a full
+// RecordEntry's 104.
 class FlightRecorder {
  public:
   // Capacity must be a power of two: Append indexes the ring with a mask.
@@ -95,22 +102,38 @@ class FlightRecorder {
                     "FlightRecorder capacity must be a power of two");
   }
 
-  void Append(Time now, const RecordEntry& entry) {
-    RecordEntry& slot = ring_[seq_ & mask_];
-    slot = entry;
-    slot.seq = ++seq_;
+  void Append(Time now, RecordType type, int cpu, uint64_t pid, uint64_t resp0) {
+    Slot& slot = ring_[seq_++ & mask_];
     slot.time = now;
-    slot.kthread = GetCurrentKthread();
+    slot.pid = pid;
+    slot.resp0 = resp0;
+    slot.cpu = static_cast<int16_t>(cpu);
+    slot.kthread = static_cast<int16_t>(GetCurrentKthread());
+    slot.type = type;
   }
 
-  // Oldest-to-newest snapshot of the retained tail, at most `max_entries`.
+  // Oldest-to-newest snapshot of the retained tail, at most `max_entries`:
+  // RecordEntrys holding the kept fields, every other field zero.
   std::vector<RecordEntry> Tail(size_t max_entries) const;
 
   uint64_t appended() const { return seq_; }
   size_t capacity() const { return ring_.size(); }
 
  private:
-  std::vector<RecordEntry> ring_;
+  // cpu and kthread fit 16 bits: SchedCore caps the machine at
+  // CpuMask::kMaxCpus CPUs, and the runtime sets the kthread to the CPU id.
+  static_assert(CpuMask::kMaxCpus <= INT16_MAX);
+  struct Slot {
+    Time time = 0;
+    uint64_t pid = 0;
+    uint64_t resp0 = 0;
+    int16_t cpu = -1;
+    int16_t kthread = 0;
+    RecordType type = RecordType::kTaskNew;
+  };
+  static_assert(sizeof(Slot) == 32);
+
+  std::vector<Slot> ring_;
   uint64_t mask_;
   uint64_t seq_ = 0;
 };

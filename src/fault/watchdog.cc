@@ -27,7 +27,8 @@ const char* TripReasonName(TripReason reason) {
   return "unknown";
 }
 
-CrashReport Watchdog::BuildReport(TripReason reason, std::string detail, Time now) const {
+CrashReport Watchdog::BuildReport(TripReason reason, std::string detail, Time now) {
+  FlushLatencyRun();
   CrashReport report;
   report.reason = reason;
   report.detail = std::move(detail);

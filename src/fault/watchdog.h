@@ -61,7 +61,8 @@ struct WatchdogConfig {
   Duration starvation_bound_ns = Milliseconds(100);
 
   // How many trailing record entries (the module's last calls) to capture
-  // into the CrashReport when a Recorder is attached.
+  // into the CrashReport: from the Recorder's log when one is attached,
+  // otherwise from the always-on flight ring.
   size_t crash_ring_entries = 32;
 };
 
@@ -88,7 +89,8 @@ struct ProbationConfig {
 
 // Everything known about a containment event: why the watchdog tripped, the
 // module's counters at that moment, callback-latency aggregates, the cost of
-// the fallback, and the last calls into the module (from the Recorder ring).
+// the fallback, and the last calls into the module (from the Recorder's log
+// when one is attached, otherwise from the runtime's flight ring).
 struct CrashReport {
   TripReason reason = TripReason::kNone;
   std::string detail;
@@ -114,7 +116,9 @@ struct CrashReport {
   uint64_t tasks_repolicied = 0;
   Duration fallback_pause_ns = 0;
 
-  // Tail of the record log: the last calls the module saw before the trip.
+  // The last calls the module saw before the trip. Entries from the flight
+  // ring carry only the fields ToString prints (seq, time, kthread, type,
+  // pid, cpu, resp0); the rest are zero.
   std::vector<RecordEntry> last_calls;
 
   // Stable text rendering; used for logging and for determinism checks
@@ -144,10 +148,20 @@ class Watchdog {
                : TripReason::kNone;
   }
 
-  // A module callback completed, consuming `ns` of simulated time.
+  // A module callback completed, consuming `ns` of simulated time. Most
+  // calls repeat the previous call's latency (the fixed per-call cost), so
+  // the histogram takes them as runs: a run is flushed into it when the
+  // value changes or when BuildReport reads it. The budget check still sees
+  // every call.
   TripReason OnCallbackLatency(Duration ns) {
-    callback_latency_.Record(ns);
-    return ns > effective_callback_budget() ? TripReason::kCallbackBudget : TripReason::kNone;
+    if (ns == latency_run_value_) {
+      ++latency_run_count_;
+    } else {
+      FlushLatencyRun();
+      latency_run_value_ = ns;
+      latency_run_count_ = 1;
+    }
+    return ns > callback_budget_ ? TripReason::kCallbackBudget : TripReason::kNone;
   }
 
   // pick_next_task returned a token that failed validation.
@@ -193,18 +207,16 @@ class Watchdog {
     probation_base_escaped_ = escaped_exceptions_;
     probation_base_pick_ = pick_errors_;
     probation_base_balance_ = balance_errors_;
+    callback_budget_ = ComputeCallbackBudget();
   }
-  void EndProbation() { probation_open_ = false; }
+  void EndProbation() {
+    probation_open_ = false;
+    callback_budget_ = ComputeCallbackBudget();
+  }
   bool in_probation() const { return probation_open_; }
   const ProbationConfig& probation() const { return probation_; }
 
-  Duration effective_callback_budget() const {
-    if (!probation_open_) {
-      return config_.callback_budget_ns;
-    }
-    return static_cast<Duration>(static_cast<double>(config_.callback_budget_ns) *
-                                 probation_.budget_scale);
-  }
+  Duration effective_callback_budget() const { return callback_budget_; }
 
   // Clears the violation counters after a supervised restart: the fresh
   // module instance must not inherit its predecessor's strikes. Latency
@@ -218,16 +230,36 @@ class Watchdog {
   }
 
   // Snapshots the watchdog's aggregates into a report for the given trip.
-  CrashReport BuildReport(TripReason reason, std::string detail, Time now) const;
+  // Flushes the pending latency run first, so the aggregates are exact.
+  CrashReport BuildReport(TripReason reason, std::string detail, Time now);
 
  private:
+  // The callback budget in force: the configured one, scaled while a
+  // probation window is open. Cached, since only Begin/EndProbation move it.
+  Duration ComputeCallbackBudget() const {
+    if (!probation_open_) {
+      return config_.callback_budget_ns;
+    }
+    return static_cast<Duration>(static_cast<double>(config_.callback_budget_ns) *
+                                 probation_.budget_scale);
+  }
+
+  void FlushLatencyRun() {
+    callback_latency_.Record(latency_run_value_, latency_run_count_);
+    latency_run_count_ = 0;
+  }
+
   const WatchdogConfig config_;
+  Duration callback_budget_ = config_.callback_budget_ns;
   uint64_t escaped_exceptions_ = 0;
   uint64_t pick_errors_ = 0;
   uint64_t balance_errors_ = 0;
   uint64_t starved_pid_ = 0;
   Duration starved_for_ = 0;
   LatencyRecorder callback_latency_;
+  // The run of identical latencies not yet in callback_latency_.
+  Duration latency_run_value_ = 0;
+  uint64_t latency_run_count_ = 0;
 
   bool probation_open_ = false;
   ProbationConfig probation_;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/arena.h"
@@ -193,6 +194,33 @@ TEST(LatencyRecorder, MergeCombinesCounts) {
   a.Merge(b);
   EXPECT_EQ(a.count(), 2u);
   EXPECT_EQ(a.max(), 200u);
+}
+
+TEST(LatencyRecorder, RunRecordMatchesRepeatedSingles) {
+  LatencyRecorder runs;
+  LatencyRecorder singles;
+  // n = 0 is a no-op: it moves neither the count nor either extreme, also
+  // on an empty recorder.
+  runs.Record(0, 0);
+  EXPECT_EQ(runs.count(), 0u);
+  const std::pair<Duration, uint64_t> kRuns[] = {
+      {125, 1000}, {40, 3}, {125, 17}, {Seconds(3), 2}, {Seconds(100), 0}, {1, 1}, {125, 500}};
+  for (const auto& [ns, n] : kRuns) {
+    runs.Record(ns, n);
+    for (uint64_t i = 0; i < n; ++i) {
+      singles.Record(ns);
+    }
+  }
+  EXPECT_EQ(runs.count(), singles.count());
+  EXPECT_EQ(runs.mean_ns(), singles.mean_ns());
+  EXPECT_EQ(runs.min(), singles.min());
+  EXPECT_EQ(runs.max(), singles.max());
+  for (double p : {50.0, 99.0, 99.9}) {
+    EXPECT_EQ(runs.Percentile(p), singles.Percentile(p)) << "p" << p;
+  }
+  EXPECT_EQ(runs.count(), 1523u);
+  EXPECT_EQ(runs.min(), 1);
+  EXPECT_EQ(runs.max(), Seconds(3));
 }
 
 TEST(LatencyRecorder, MonotonePercentiles) {

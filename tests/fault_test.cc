@@ -140,6 +140,61 @@ TEST(Watchdog, TripsOnCallbackBudget) {
   EXPECT_GE(out.report.callback_max_ns, Milliseconds(20));
 }
 
+TEST(Watchdog, RunLengthLatencyChecksEveryCallAndKeepsAggregatesExact) {
+  WatchdogConfig cfg;
+  cfg.callback_budget_ns = 1000;
+  Watchdog wd(cfg);
+  LatencyRecorder reference;
+  auto feed = [&](Duration ns, int times) {
+    TripReason last = TripReason::kNone;
+    for (int i = 0; i < times; ++i) {
+      reference.Record(ns);
+      last = wd.OnCallbackLatency(ns);
+      if (last != TripReason::kNone) {
+        EXPECT_EQ(i, times - 1) << "tripped before the last call of the run";
+      }
+    }
+    return last;
+  };
+  auto expect_exact = [&] {
+    const CrashReport r = wd.BuildReport(TripReason::kManual, "check", 0);
+    EXPECT_EQ(r.callback_count, reference.count());
+    EXPECT_EQ(r.callback_mean_ns, reference.mean_ns());
+    EXPECT_EQ(r.callback_max_ns, reference.max());
+    EXPECT_EQ(r.callback_p50_ns, reference.Percentile(50.0));
+    EXPECT_EQ(r.callback_p99_ns, reference.Percentile(99.0));
+  };
+
+  // Runs and value changes under budget: no trip.
+  EXPECT_EQ(feed(125, 400), TripReason::kNone);
+  EXPECT_EQ(feed(300, 3), TripReason::kNone);
+  EXPECT_EQ(feed(125, 50), TripReason::kNone);
+  // A report read mid-run flushes it; the run then continues without being
+  // counted twice.
+  expect_exact();
+  EXPECT_EQ(feed(125, 50), TripReason::kNone);
+  expect_exact();
+  // One over-budget value trips on that very call.
+  EXPECT_EQ(feed(1001, 1), TripReason::kCallbackBudget);
+  EXPECT_EQ(feed(125, 7), TripReason::kNone);
+  expect_exact();
+
+  // 700 ns sits between the probation budget (500) and the full one: it
+  // trips only while probation is open, so the cached budget follows
+  // Begin/EndProbation.
+  ProbationConfig probation;
+  probation.budget_scale = 0.5;
+  EXPECT_EQ(feed(700, 2), TripReason::kNone);
+  wd.BeginProbation(probation);
+  EXPECT_EQ(wd.effective_callback_budget(), 500u);
+  EXPECT_EQ(feed(700, 1), TripReason::kCallbackBudget);
+  EXPECT_EQ(feed(500, 4), TripReason::kNone);
+  wd.EndProbation();
+  EXPECT_EQ(wd.effective_callback_budget(), 1000u);
+  EXPECT_EQ(feed(700, 3), TripReason::kNone);
+  expect_exact();
+}
+
 TEST(Watchdog, TripsOnRepeatedPickErrors) {
   // Every pick returns a stale-generation forgery; the injector's pnt_err
   // recovery keeps the task alive, so the error count is what trips.

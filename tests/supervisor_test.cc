@@ -240,10 +240,7 @@ TEST(WfqSched, AdoptsUnknownTaskOnFirstSighting) {
 TEST(FlightRecorder, KeepsBoundedTailInOrder) {
   FlightRecorder fr(8);
   for (uint64_t i = 1; i <= 100; ++i) {
-    RecordEntry e;
-    e.type = RecordType::kTaskTick;
-    e.pid = i;
-    fr.Append(static_cast<Time>(i), e);
+    fr.Append(static_cast<Time>(i), RecordType::kTaskTick, /*cpu=*/0, /*pid=*/i, /*resp0=*/0);
   }
   EXPECT_EQ(fr.appended(), 100u);
   auto tail = fr.Tail(4);
@@ -252,9 +249,39 @@ TEST(FlightRecorder, KeepsBoundedTailInOrder) {
   EXPECT_EQ(tail.back().pid, 100u);
   // Asking for more than the capacity returns at most the capacity.
   EXPECT_EQ(fr.Tail(64).size(), 8u);
-  // Stamps come from the recorder, not from the appended entry.
+  // Seq is the append position; time is the `now` each Append was given.
   EXPECT_EQ(tail.back().seq, 100u);
   EXPECT_EQ(tail.back().time, 100);
+}
+
+TEST(FlightRecorder, WrappedTailRoundTripsPrintedFields) {
+  FlightRecorder fr(8);
+  for (uint64_t i = 1; i <= 21; ++i) {
+    SetCurrentKthread(static_cast<int>(255 - i));
+    fr.Append(static_cast<Time>(1000 * i), static_cast<RecordType>(1 + i % 27),
+              /*cpu=*/static_cast<int>(i % 5) - 1,  // -1 (no CPU) included
+              /*pid=*/(i << 40) | i, /*resp0=*/~i);
+  }
+  SetCurrentKthread(0);
+  const auto tail = fr.Tail(8);
+  ASSERT_EQ(tail.size(), 8u);
+  for (uint64_t k = 0; k < tail.size(); ++k) {
+    const uint64_t i = 14 + k;
+    const RecordEntry& e = tail[k];
+    EXPECT_EQ(e.seq, i);
+    EXPECT_EQ(e.time, static_cast<Time>(1000 * i));
+    EXPECT_EQ(e.type, static_cast<RecordType>(1 + i % 27));
+    EXPECT_EQ(e.pid, (i << 40) | i);
+    EXPECT_EQ(e.cpu, static_cast<int>(i % 5) - 1);
+    EXPECT_EQ(e.resp0, ~i);
+    EXPECT_EQ(e.kthread, static_cast<int>(255 - i));
+    // Fields the ring does not keep come back zero.
+    EXPECT_EQ(e.runtime, 0u);
+    EXPECT_EQ(e.arg[2], 0u);
+    EXPECT_EQ(e.resp1, 0u);
+    EXPECT_FALSE(e.has_resp);
+    EXPECT_FALSE(e.flag);
+  }
 }
 
 TEST(FlightRecorderDeathTest, RejectsNonPowerOfTwoCapacity) {
