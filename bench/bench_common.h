@@ -25,16 +25,6 @@ namespace enoki {
 
 // ---- Command-line helpers shared by the bench binaries ----
 
-// True when `flag` (e.g. "--quick") appears in argv.
-inline bool BenchHasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // Returns the value of a `--name=value` argument, or nullptr.
 inline const char* BenchArgValue(int argc, char** argv, const char* name) {
   const size_t len = std::strlen(name);
@@ -48,8 +38,8 @@ inline const char* BenchArgValue(int argc, char** argv, const char* name) {
 
 // Machine-readable result sink, shared by all benchmarks: pass `--json=<path>`
 // to any bench binary and it writes one row per reported metric in addition to
-// its normal stdout tables. Rows are flat so trajectory tooling (and the CI
-// perf-smoke gate) never has to scrape stdout:
+// its normal stdout tables. Rows are flat so trajectory tooling (and the
+// bench_simperf baseline check) never has to scrape stdout:
 //   {"bench": "...", "config": "...", "metric": "...", "value": N, "seed": N}
 class BenchJson {
  public:

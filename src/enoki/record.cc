@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
 
 namespace enoki {
 
@@ -148,27 +149,36 @@ bool Recorder::SaveToFile(const std::string& path) const {
 }
 
 bool Recorder::LoadFromFile(const std::string& path, std::vector<RecordEntry>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
+  std::ifstream in(path);
+  if (!in) {
     return false;
   }
   out->clear();
-  RecordEntry e;
-  unsigned type = 0;
-  int has_resp = 0;
-  int flag = 0;
-  while (std::fscanf(f,
-                     "%" SCNu64 " %" SCNu64 " %d %u %" SCNu64 " %d %" SCNu64 " %" SCNu64
-                     " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64 " %d %d",
-                     &e.seq, &e.time, &e.kthread, &type, &e.pid, &e.cpu, &e.runtime, &e.arg[0],
-                     &e.arg[1], &e.arg[2], &e.arg[3], &e.resp0, &e.resp1, &has_resp,
-                     &flag) == 15) {
+  std::string line;
+  while (std::getline(in, line)) {
+    RecordEntry e;
+    unsigned type = 0;
+    int has_resp = 0;
+    int flag = 0;
+    int end = 0;
+    const bool parsed =
+        std::sscanf(line.c_str(),
+                    "%" SCNu64 " %" SCNu64 " %d %u %" SCNu64 " %d %" SCNu64 " %" SCNu64
+                    " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64 " %d %d %n",
+                    &e.seq, &e.time, &e.kthread, &type, &e.pid, &e.cpu, &e.runtime,
+                    &e.arg[0], &e.arg[1], &e.arg[2], &e.arg[3], &e.resp0, &e.resp1,
+                    &has_resp, &flag, &end) == 15 &&
+        static_cast<size_t>(end) == line.size();
+    if (!parsed || type < static_cast<unsigned>(RecordType::kTaskNew) ||
+        type > static_cast<unsigned>(RecordType::kCheckpointRestore)) {
+      out->clear();
+      return false;
+    }
     e.type = static_cast<RecordType>(type);
     e.has_resp = has_resp != 0;
     e.flag = flag != 0;
     out->push_back(e);
   }
-  std::fclose(f);
   return true;
 }
 

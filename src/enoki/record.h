@@ -164,7 +164,9 @@ class Recorder : public LockHooks {
   uint64_t appended() const { return appended_; }
 
   // Text serialization, one entry per line: the record file the replay
-  // utility consumes.
+  // utility consumes. A record file is untrusted input: LoadFromFile returns
+  // false, with `out` empty, on a line that is not exactly fifteen fields or
+  // that names a record type outside kTaskNew..kCheckpointRestore.
   bool SaveToFile(const std::string& path) const;
   static bool LoadFromFile(const std::string& path, std::vector<RecordEntry>* out);
 

@@ -189,10 +189,6 @@ class ShardedEventLoop {
     bool adaptive_epochs = false;
     // Narrowing floor. 0 = epoch_ns / 4 (at least 1 ns).
     Duration min_epoch_ns = 0;
-    // Optional widening cap below the registered-latency clamp. 0 = clamp
-    // only by the minimum latency passed to RegisterCrossLatency (with no
-    // registration the window cannot widen past epoch_ns at all).
-    Duration max_epoch_ns = 0;
     // Epochs per controller decision (sliding stats window).
     int controller_period = 8;
   };
@@ -469,18 +465,14 @@ class ShardedEventLoop {
 
   // Upper bound the effective window may ever reach — the lookahead clamp
   // PostCross latencies are checked against. Static mode: the fixed
-  // epoch_ns. Adaptive mode: the smallest registered cross-shard latency
-  // (optionally capped by max_epoch_ns); with nothing registered the window
-  // cannot widen, so the bound stays epoch_ns.
+  // epoch_ns. Adaptive mode: the smallest registered cross-shard latency;
+  // with nothing registered the window cannot widen, so the bound stays
+  // epoch_ns.
   Duration LookaheadBound() const {
-    if (!opts_.adaptive_epochs) {
+    if (!opts_.adaptive_epochs || min_cross_latency_ == kTimeMax) {
       return opts_.epoch_ns;
     }
-    Duration c = min_cross_latency_;
-    if (opts_.max_epoch_ns > 0) {
-      c = std::min(c, opts_.max_epoch_ns);
-    }
-    return c == kTimeMax ? opts_.epoch_ns : std::max(c, opts_.epoch_ns);
+    return std::max(min_cross_latency_, opts_.epoch_ns);
   }
 
   Duration WindowFloor() const {

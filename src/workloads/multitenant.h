@@ -18,8 +18,8 @@
 //    workers are pinned to node g's CPUs and handoffs are self-posts with
 //    identical latency.
 //
-// This makes "sharded vs unsharded" in bench_simperf a true engine
-// comparison: same tenants, same service processes, same handoff topology.
+// This makes "sharded vs unsharded" a true engine comparison: same tenants,
+// same service processes, same handoff topology.
 //
 // Allocation discipline (arena-per-run): each group's request queue is a
 // fixed-capacity ring drawn from a per-group Arena; steady state performs
