@@ -218,8 +218,6 @@ PerfResult MeasureMt(const std::string& name, const MultitenantConfig& cfg) {
       r.counters.emplace_back("prof_epochs", static_cast<double>(prof.epochs));
       r.counters.emplace_back("prof_idle_leaps", static_cast<double>(prof.idle_leaps));
       r.counters.emplace_back("prof_commit_msgs", static_cast<double>(prof.commit_msgs));
-      r.counters.emplace_back("prof_commit_batched_msgs",
-                              static_cast<double>(prof.batched_msgs));
       r.counters.emplace_back("prof_widens", static_cast<double>(prof.widens));
       r.counters.emplace_back("prof_narrows", static_cast<double>(prof.narrows));
       r.counters.emplace_back("prof_final_window",

@@ -19,14 +19,14 @@
 // Counter semantics split into two classes, and consumers must respect the
 // split:
 //  - count-type counters (events, lane hits and spills, chunks, slabs,
-//    epochs, widens, narrows, commit messages) are pure functions of the
-//    simulation and are byte-identical across hosts and thread counts — CI
-//    gates them against a checked-in baseline so an alloc/placement
-//    regression names the subsystem that regressed;
+//    epochs, idle leaps, widens, narrows, commit messages) are pure
+//    functions of the simulation and are byte-identical across hosts and
+//    thread counts. bench_simperf emits them as "prof_<name>" rows and its
+//    ctest compares them exactly against a checked-in baseline, so an
+//    alloc/placement regression names the subsystem that regressed;
 //  - *_ns counters (commit wall time, barrier wall time) are wall-clock and
-//    host-dependent — reported for profiling, never gated.
-//
-// bench_simperf --json exposes both as "prof_<name>" rows per config.
+//    host-dependent: perfbench reports them as shares of run time, and
+//    nothing gates them.
 
 #ifndef SRC_BASE_PROFILE_H_
 #define SRC_BASE_PROFILE_H_
@@ -61,7 +61,6 @@ struct ShardProfile {
   uint64_t epochs = 0;        // committed epoch barriers
   uint64_t idle_leaps = 0;    // epochs whose window start leapt an idle span
   uint64_t commit_msgs = 0;   // cross-shard messages committed
-  uint64_t batched_msgs = 0;  // messages that rode an existing mailbox entry
   uint64_t widens = 0;        // controller WIDEN decisions applied
   uint64_t narrows = 0;       // controller NARROW decisions applied
   uint64_t commit_ns = 0;     // wall ns draining+sorting+committing outboxes

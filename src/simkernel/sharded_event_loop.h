@@ -27,15 +27,17 @@
 //      order independent of which thread ran which shard when, so the
 //      insertion sequence numbers the destination loops assign — and hence
 //      all downstream tie-breaking — are identical for every T.
-//   4. Owner-side peek and commit: the barrier thread does only the global
-//      part (sort, fingerprint, routing, next-time minimum, controller).
-//      Each host thread publishes its shards' post-run PeekTime and event
-//      count in a padded slot, and inserts the messages committed to its
-//      shards at the start of the next epoch, in the global order
-//      restricted to each destination: the same per-loop ScheduleAt
-//      sequence a serial commit makes. Payload buffers alternate by epoch
-//      parity, so a shard never posts into the buffer its destinations are
-//      still reading.
+//   4. Owner-side peek and commit: every cross-shard message is one
+//      mailbox header (deliver_time, src_shard, src_seq, payload index),
+//      pushed by the sending shard's thread into its owner's padded slot.
+//      The barrier thread does only the global part (sort, fingerprint,
+//      routing, next-time minimum, controller). Each host thread publishes
+//      its shards' post-run PeekTime and event count in the same slot, and
+//      inserts the messages committed to its shards at the start of the
+//      next epoch, in the global order restricted to each destination: the
+//      same per-loop ScheduleAt sequence a serial commit makes. Payload
+//      buffers alternate by epoch parity, so a shard never posts into the
+//      buffer its destinations are still reading.
 //
 // When every shard is quiet the horizon leaps directly to the global next
 // event time (minus one window) instead of stepping epoch-by-epoch; this is
@@ -49,7 +51,8 @@
 // barrier over more events; narrower windows protect the bounded outboxes
 // under cross-shard pressure. The clamp invariant that keeps the lookahead
 // argument intact: the window never exceeds the minimum cross-shard latency
-// registered via RegisterCrossLatency (and never drops below a floor). All
+// registered via RegisterCrossLatency (and never drops below a floor of
+// epoch_ns / 4). The controller decides once per kControllerPeriod epochs. All
 // controller inputs are byte-identical across host thread counts, so the
 // window schedule — and therefore the run — still is too.
 //
@@ -70,7 +73,6 @@
 
 #include "src/base/check.h"
 #include "src/base/profile.h"
-#include "src/base/ring_buffer.h"
 #include "src/base/time.h"
 #include "src/simkernel/event_loop.h"
 
@@ -172,26 +174,18 @@ class ShardedEventLoop {
     // (default 1). Clamped to [1, nshards]. Thread count never affects
     // simulation output, only wall-clock.
     int threads = 0;
-    // Per-shard outbox capacity (messages per epoch per shard). Power of
-    // two; overflow is a checked error, not a drop — dropping would make
-    // output depend on timing.
-    size_t mailbox_slots = RingBuffer<int>::CheckedCapacity<4096>();
-    // Coalesce consecutive same-(deliver_time, src) cross-shard messages
-    // into one mailbox entry, expanded at commit (prof_batched_msgs counts
-    // the riders). Purely a commit-cost optimization: the committed order,
-    // MergeFingerprint, and run output are byte-identical either way (the
-    // determinism sweep asserts this). Off = every message is a batch of 1
-    // through the same code path.
-    bool batched_commit = true;
     // Adaptive epochs: let an EpochController retune the effective window
     // between epochs. epoch_ns becomes the *initial* window; the controller
-    // moves it within [min_epoch_ns, min registered cross-shard latency].
+    // moves it within [max(epoch_ns / 4, 1), min registered cross-shard
+    // latency].
     bool adaptive_epochs = false;
-    // Narrowing floor. 0 = epoch_ns / 4 (at least 1 ns).
-    Duration min_epoch_ns = 0;
-    // Epochs per controller decision (sliding stats window).
-    int controller_period = 8;
   };
+
+  // Per-shard outbox capacity (messages per epoch per shard). Overflow is a
+  // checked error, not a drop — dropping would make output depend on timing.
+  static constexpr size_t kMailboxSlots = 65536;
+  // Epochs per controller decision (its sliding stats window).
+  static constexpr int kControllerPeriod = 8;
 
   explicit ShardedEventLoop(Options opts) : opts_(opts), window_(opts.epoch_ns) {
     ENOKI_CHECK(opts.nshards >= 1);
@@ -287,23 +281,11 @@ class ShardedEventLoop {
       s.loop.ScheduleAfter(latency, std::move(fn));
       return;
     }
-    const Time deliver_at = s.loop.now() + latency;
-    const uint64_t seq = ++s.out_seq;
     std::vector<CrossSub>& subs = s.subs[post_parity_];
-    ENOKI_CHECK_MSG(subs.size() < opts_.mailbox_slots, "shard outbox overflow (bounded mailbox)");
+    ENOKI_CHECK_MSG(subs.size() < kMailboxSlots, "shard outbox overflow (bounded mailbox)");
+    s.outbox->push_back(
+        CrossMsg{s.loop.now() + latency, src, ++s.out_seq, static_cast<uint32_t>(subs.size())});
     subs.push_back(CrossSub{dst, std::move(fn)});
-    // Batched commit: a message sent at the same instant as the open batch
-    // rides it — its seq is the next in the batch's contiguous run by
-    // construction (out_seq increments once per send, and the batch has
-    // absorbed every send since it opened).
-    if (opts_.batched_commit && s.open.count > 0 && s.open.deliver_at == deliver_at) {
-      ++s.open.count;
-      return;
-    }
-    if (s.open.count > 0) {
-      s.outbox->push_back(s.open);
-    }
-    s.open = CrossMsg{deliver_at, src, seq, static_cast<uint32_t>(subs.size() - 1), 1};
   }
 
   // Runs all events with time <= deadline; on return now() == deadline.
@@ -363,8 +345,8 @@ class ShardedEventLoop {
     return n;
   }
 
-  uint64_t cross_messages() const { return cross_messages_; }
-  uint64_t epochs() const { return epochs_; }
+  uint64_t cross_messages() const { return prof_.commit_msgs; }
+  uint64_t epochs() const { return prof_.epochs; }
 
   // FNV-1a digest of the committed merge order: every cross-shard message's
   // (deliver_time, src, dst, seq) in commit order. Identical across thread
@@ -387,25 +369,20 @@ class ShardedEventLoop {
   }
 
  private:
-  // One sub-message of a batch: destination shard + closure. Stored in the
-  // sending shard's `subs` side vector; batch headers reference contiguous
-  // runs of it by index.
+  // A message's payload: destination shard + closure. Stored in the sending
+  // shard's `subs` side vector; the header references it by index.
   struct CrossSub {
     int dst = 0;
     std::function<void()> fn;
   };
 
-  // Batch header travelling through the outbox: `count` sub-messages
-  // sharing one (deliver_at, src), with contiguous seqs starting at
-  // first_seq and payloads at subs[sub_base .. sub_base+count). With
-  // batching off every header has count == 1, so the unbatched engine is
-  // the same code path, not a second one.
+  // Mailbox header of one cross-shard message: its commit sort key
+  // (deliver_at, src, seq) and the index of its payload in src's subs.
   struct CrossMsg {
     Time deliver_at = 0;
     int src = 0;
-    uint64_t first_seq = 0;
-    uint32_t sub_base = 0;
-    uint32_t count = 0;
+    uint64_t seq = 0;
+    uint32_t sub = 0;
   };
 
   // A committed message waiting in its destination's inbox: the payload
@@ -431,10 +408,9 @@ class ShardedEventLoop {
     // buffer at the last barrier. The barrier thread flips the parity and
     // clears a buffer only once its payloads have all been delivered.
     std::vector<CrossSub> subs[2];
-    // Closed batch headers go to the owner thread's slot, so the barrier
-    // reads one vector per thread rather than one per shard.
+    // Headers go to the owner thread's slot, so the barrier reads one
+    // vector per thread rather than one per shard.
     std::vector<CrossMsg>* outbox;
-    CrossMsg open;  // open (unpushed) batch; count == 0 means none
     uint64_t out_seq = 0;
     // Messages committed to this shard, in commit order. Filled by the
     // barrier thread, inserted into `loop` by the owner at the start of the
@@ -448,7 +424,7 @@ class ShardedEventLoop {
   struct alignas(64) WorkerSlot {
     Time peek = kTimeMax;           // min PeekTime over the owned shards
     uint64_t events = 0;            // events the owned shards ran this epoch
-    std::vector<CrossMsg> headers;  // closed batches of the owned shards
+    std::vector<CrossMsg> headers;  // messages the owned shards posted
   };
 
   // Earliest pending event time across all shards. Only valid when every
@@ -475,13 +451,6 @@ class ShardedEventLoop {
     return std::max(min_cross_latency_, opts_.epoch_ns);
   }
 
-  Duration WindowFloor() const {
-    if (opts_.min_epoch_ns > 0) {
-      return std::min(opts_.min_epoch_ns, opts_.epoch_ns);
-    }
-    return std::max<Duration>(opts_.epoch_ns / 4, 1);
-  }
-
   // Next horizon. The window must be at most window_ wide so the lookahead
   // argument holds; when the next event is beyond one window the start leaps
   // to (gmin - window_), which is safe because the skipped span is empty.
@@ -501,7 +470,6 @@ class ShardedEventLoop {
   // peeks and of the committed messages' delivery times, which is what
   // GlobalNextTime would read once those messages were inserted.
   Time RunEpoch(Time target, bool leapt) {
-    ++epochs_;
     ++prof_.epochs;
     prof_.idle_leaps += leapt ? 1 : 0;
     target_ = target;
@@ -533,10 +501,10 @@ class ShardedEventLoop {
     if (opts_.adaptive_epochs) {
       if (controller_ == nullptr) {
         EpochController::Config cc;
-        cc.floor = WindowFloor();
+        cc.floor = std::max<Duration>(opts_.epoch_ns / 4, 1);
         cc.ceiling = LookaheadBound();
-        cc.period = opts_.controller_period;
-        cc.mailbox_slots = opts_.mailbox_slots;
+        cc.period = kControllerPeriod;
+        cc.mailbox_slots = kMailboxSlots;
         controller_ = std::make_unique<EpochController>(cc);
         window_ = std::clamp(window_, cc.floor, cc.ceiling);
       }
@@ -548,8 +516,9 @@ class ShardedEventLoop {
   }
 
   // One thread's share of an epoch: insert each owned shard's committed
-  // messages, run it to target_, then publish the shards' next event time,
-  // executed-event count and closed batches in the thread's slot.
+  // messages, run it to target_, then publish the shards' next event time
+  // and executed-event count in the thread's slot (PostCross has already
+  // pushed their headers there).
   void RunOwnedShards(int worker) {
     WorkerSlot& slot = slots_[static_cast<size_t>(worker)];
     Time peek = kTimeMax;
@@ -561,10 +530,6 @@ class ShardedEventLoop {
       sh.loop.RunUntil(target_);
       events += sh.loop.events_executed() - before;
       peek = std::min(peek, sh.loop.PeekTime());
-      if (sh.open.count > 0) {
-        slot.headers.push_back(sh.open);
-        sh.open.count = 0;
-      }
     }
     slot.peek = peek;
     slot.events = events;
@@ -604,21 +569,10 @@ class ShardedEventLoop {
     }
   }
 
-  // Gathers every closed batch and commits the messages in (deliver_at,
+  // Gathers every posted header and commits the messages in (deliver_at,
   // src, seq) order — a total order (seq is unique per src) that does not
   // depend on which thread ran which shard, so destination-loop insertion
   // sequence numbers are reproducible for any thread count.
-  //
-  // Batching preserves that order exactly: headers sort by
-  // (deliver_at, src, first_seq) and each expands to its contiguous seq run
-  // first_seq .. first_seq+count-1 at a single (deliver_at, src). Any two
-  // batches either differ in (deliver_at, src) — ordered the same as every
-  // message they contain — or share it, in which case their seq runs are
-  // disjoint and the earlier first_seq's entire run precedes the later's
-  // (seqs are assigned monotonically per src). Expansion therefore emits the
-  // identical sequence a per-message sort would, and the fingerprint mixes
-  // each (deliver_at, src, dst, seq) individually — byte-for-byte the
-  // unbatched digest.
   //
   // Committing routes each message to its destination's inbox; the
   // destination's owner inserts it at the start of the next epoch. Lowers
@@ -647,29 +601,21 @@ class ShardedEventLoop {
       if (a.src != b.src) {
         return a.src < b.src;
       }
-      return a.first_seq < b.first_seq;
+      return a.seq < b.seq;
     });
-    uint64_t committed = 0;
     for (const CrossMsg& m : scratch_) {
       // Lookahead held: the message cannot land inside the epoch that sent it.
       ENOKI_CHECK(m.deliver_at >= target);
       *next = std::min(*next, m.deliver_at);
-      std::vector<CrossSub>& subs = shards_[static_cast<size_t>(m.src)]->subs[parity];
-      prof_.batched_msgs += m.count - 1;
-      for (uint32_t i = 0; i < m.count; ++i) {
-        CrossSub& sub = subs[m.sub_base + i];
-        const uint64_t seq = m.first_seq + i;
-        merge_hash_ = MixMerge(merge_hash_, m.deliver_at, m.src, sub.dst, seq);
-        ++cross_messages_;
-        if (merge_observer_) {
-          merge_observer_(m.deliver_at, m.src, sub.dst, seq);
-        }
-        shards_[static_cast<size_t>(sub.dst)]->inbox.push_back(Delivery{m.deliver_at, &sub});
-        ++committed;
+      CrossSub& sub = shards_[static_cast<size_t>(m.src)]->subs[parity][m.sub];
+      merge_hash_ = MixMerge(merge_hash_, m.deliver_at, m.src, sub.dst, m.seq);
+      if (merge_observer_) {
+        merge_observer_(m.deliver_at, m.src, sub.dst, m.seq);
       }
+      shards_[static_cast<size_t>(sub.dst)]->inbox.push_back(Delivery{m.deliver_at, &sub});
     }
-    prof_.commit_msgs += committed;
-    return committed;
+    prof_.commit_msgs += scratch_.size();
+    return scratch_.size();
   }
 
   static uint64_t MixMerge(uint64_t h, Time deliver_at, int src, int dst, uint64_t seq) {
@@ -690,8 +636,6 @@ class ShardedEventLoop {
   const Options opts_;
   int threads_ = 1;
   Time now_ = 0;
-  uint64_t epochs_ = 0;
-  uint64_t cross_messages_ = 0;
   uint64_t merge_hash_ = 14695981039346656037ull;
   Duration window_;  // effective epoch width (moved by the controller)
   Duration min_cross_latency_ = kTimeMax;  // smallest RegisterCrossLatency

@@ -63,14 +63,9 @@ struct MultitenantConfig {
   int shard_threads = 0;  // 0 = ENOKI_SHARD_THREADS (default 1)
   Duration epoch_ns = 20'000;
   // Adaptive epoch control (see ShardedEventLoop::Options): the engine
-  // retunes the window within [min_epoch_ns, remote_latency] from committed
+  // retunes the window within [epoch_ns / 4, remote_latency] from committed
   // traffic. Off by default so static-mode configs stay byte-identical.
   bool adaptive_epochs = false;
-  Duration min_epoch_ns = 0;  // 0 = epoch_ns / 4
-  // Coalesce same-(deliver_time, src) cross-shard messages at commit (see
-  // ShardedEventLoop::Options::batched_commit). Output is byte-identical on
-  // or off; the flag exists so tests can assert exactly that.
-  bool batched_commit = true;
 
   int tenants_per_group = 16;       // arrival streams per NUMA node
   double rate_per_tenant = 4'000.0; // requests/sec per tenant
@@ -167,10 +162,7 @@ class MultitenantSim {
     o.nshards = cfg.nshards;
     o.epoch_ns = cfg.epoch_ns;
     o.threads = cfg.shard_threads;
-    o.mailbox_slots = RingBuffer<int>::CheckedCapacity<65536>();
     o.adaptive_epochs = cfg.adaptive_epochs;
-    o.min_epoch_ns = cfg.min_epoch_ns;
-    o.batched_commit = cfg.batched_commit;
     return o;
   }
 

@@ -519,7 +519,7 @@ TEST(RingBuffer, CheckedCapacityConstructsValidRing) {
   // CheckedCapacity is usable in constant expressions.
   static_assert(RingBuffer<int>::CheckedCapacity<4096>() == 4096);
   // Note: RingBuffer<int>::CheckedCapacity<48>() is (deliberately) a
-  // compile error — mailbox sizing mistakes fail at build time.
+  // compile error — ring sizing mistakes fail at build time.
 }
 
 // ---- Arena ----

@@ -626,7 +626,7 @@ TEST(Replay, DivergentModuleDetected) {
     const int policy = core.RegisterClass(&runtime);
     core.RegisterClass(&cfs);
     for (int i = 0; i < 4; ++i) {
-      core.CreateTaskOn("t" + std::to_string(i),
+      core.CreateTaskOn(std::string("t").append(std::to_string(i)),
                         std::make_unique<CpuBoundBody>(Milliseconds(8), Microseconds(400)),
                         policy, i * 5 - 10, CpuMask::Single(0));
     }
@@ -764,12 +764,12 @@ std::vector<RecordEntry> RecordLadderRun() {
     std::vector<Task*> tasks;
     for (int i = 0; i < 6; ++i) {
       tasks.push_back(core.CreateTask(
-          "c" + std::to_string(i),
+          std::string("c").append(std::to_string(i)),
           std::make_unique<CpuBoundBody>(Milliseconds(2), Microseconds(100)), policy));
     }
     for (int i = 0; i < 2; ++i) {
       tasks.push_back(core.CreateTask(
-          "s" + std::to_string(i),
+          std::string("s").append(std::to_string(i)),
           std::make_unique<ScriptedBody>(std::vector<Action>{
               Action::Compute(Microseconds(50)), Action::Sleep(Microseconds(100)),
               Action::Compute(Microseconds(50)), Action::Yield(),
@@ -836,7 +836,7 @@ TEST(Record, StreamDigestCoversEveryRuntimeRecordType) {
     runtime.EnableWatchdog(WatchdogConfig{}, core.RegisterClass(&cfs));
     core.Start();
     for (int i = 0; i < 6; ++i) {
-      core.CreateTask("f" + std::to_string(i),
+      core.CreateTask(std::string("f").append(std::to_string(i)),
                       std::make_unique<CpuBoundBody>(Milliseconds(1), Microseconds(100)), policy);
     }
     core.RunFor(Microseconds(700));

@@ -164,12 +164,12 @@ struct Mirror {
     }
     top_ids[i] = loop.ScheduleAt(at, [this, i, busy, child_delta] {
       top_fired[i] = true;
-      log.push_back("t" + std::to_string(i));
+      log.push_back(std::string("t").append(std::to_string(i)));
       log_times.push_back(loop.now());
       if (busy) {
         const Time t = loop.now() + child_delta;
         loop.ScheduleAt(t, [this, i] {
-          log.push_back("c" + std::to_string(i));
+          log.push_back(std::string("c").append(std::to_string(i)));
           log_times.push_back(loop.now());
         });
         EventId doomed = loop.ScheduleAt(t, [this, i] {
@@ -569,14 +569,13 @@ struct CascadeRun {
   uint64_t cross = 0;
 };
 
-CascadeRun RunCascade(int threads, bool batched_commit = true) {
+CascadeRun RunCascade(int threads) {
   static constexpr int kShards = 4;
   static constexpr Duration kEpoch = 1'000;
   ShardedEventLoop::Options opts;
   opts.nshards = kShards;
   opts.epoch_ns = kEpoch;
   opts.threads = threads;
-  opts.batched_commit = batched_commit;
   ShardedEventLoop engine(opts);
 
   CascadeRun out;
@@ -593,7 +592,8 @@ CascadeRun RunCascade(int threads, bool batched_commit = true) {
   std::function<void(int, int)> hop = [&](int s, int depth) {
     EventLoop& loop = engine.shard(s);
     (*logs)[static_cast<size_t>(s)].push_back(
-        "s" + std::to_string(s) + "@" + std::to_string(loop.now()) + "d" + std::to_string(depth));
+        std::string("s").append(std::to_string(s)) + "@" + std::to_string(loop.now()) + "d" +
+        std::to_string(depth));
     loop.ScheduleAfter(static_cast<Duration>(depth * 37 % 900), [logs, s, &engine] {
       (*logs)[static_cast<size_t>(s)].push_back(
           "echo s" + std::to_string(s) + "@" + std::to_string(engine.shard(s).now()));
@@ -635,40 +635,21 @@ TEST(ShardedDeterminism, CascadeIdenticalAcrossThreadCounts) {
   }
 }
 
-// Batched commit must be observably invisible: identical execution order,
-// identical merge observer sequence, and a byte-identical fingerprint whether
-// cross-shard messages travel one per mailbox entry or coalesced — at every
-// host thread count.
-TEST(ShardedDeterminism, BatchedCommitMatchesUnbatchedAcrossThreadCounts) {
-  const CascadeRun batched = RunCascade(1, /*batched_commit=*/true);
-  for (int threads : {1, 2, 4}) {
-    const CascadeRun plain = RunCascade(threads, /*batched_commit=*/false);
-    EXPECT_EQ(batched.exec_log, plain.exec_log) << "threads=" << threads;
-    EXPECT_EQ(batched.merge_log, plain.merge_log) << "threads=" << threads;
-    EXPECT_EQ(batched.fingerprint, plain.fingerprint) << "threads=" << threads;
-    EXPECT_EQ(batched.events, plain.events) << "threads=" << threads;
-    EXPECT_EQ(batched.cross, plain.cross) << "threads=" << threads;
-  }
-}
-
-// Same-instant sends from one shard are the case batching exists for: all of
-// them share (deliver_time, src), so they must travel as ONE mailbox entry
-// (prof batched_msgs counts the coalesced tail) and still expand to the exact
-// per-message merge sequence and delivery order of the unbatched engine.
+// Same-instant sends from one shard share (deliver_time, src), so only
+// their seqs order them: each is its own mailbox entry, and the merge must
+// deliver them in send order, identically at every host thread count.
 struct BurstRun {
   uint64_t fingerprint = 0;
   uint64_t cross = 0;
-  uint64_t batched = 0;
   std::vector<std::string> merge_log;
   std::vector<int> delivered;
 };
 
-BurstRun RunSameInstantBurst(bool batched_commit) {
+BurstRun RunSameInstantBurst(int threads) {
   ShardedEventLoop::Options opts;
   opts.nshards = 2;
   opts.epoch_ns = 1'000;
-  opts.threads = 1;
-  opts.batched_commit = batched_commit;
+  opts.threads = threads;
   ShardedEventLoop engine(opts);
   BurstRun out;
   engine.set_merge_observer([&out](Time at, int src, int dst, uint64_t seq) {
@@ -676,8 +657,7 @@ BurstRun RunSameInstantBurst(bool batched_commit) {
                             ">" + std::to_string(dst) + "#" + std::to_string(seq));
   });
   // One callback fires 8 cross posts at the same instant with the same
-  // latency: same deliver_at, same src, contiguous seqs — one batch. A second
-  // burst at a different instant must open a fresh batch.
+  // latency; a second burst follows at a different instant.
   for (Time start : {Time{100}, Time{5'000}}) {
     engine.shard(0).ScheduleAt(start, [&engine, &out] {
       for (int i = 0; i < 8; ++i) {
@@ -689,26 +669,21 @@ BurstRun RunSameInstantBurst(bool batched_commit) {
   engine.RunUntilIdle();
   out.fingerprint = engine.MergeFingerprint();
   out.cross = engine.cross_messages();
-  out.batched = engine.profile().batched_msgs;
   return out;
 }
 
-TEST(ShardedDeterminism, BatchedCommitCoalescesSameInstantBursts) {
-  const BurstRun on = RunSameInstantBurst(true);
-  const BurstRun off = RunSameInstantBurst(false);
-  ASSERT_EQ(on.cross, 16u);
-  ASSERT_EQ(off.cross, 16u);
-  // Two 8-message bursts: 7 coalesced tails each when batching is on.
-  EXPECT_EQ(on.batched, 14u);
-  EXPECT_EQ(off.batched, 0u);
-  // Identical observable output either way, including intra-batch order.
-  EXPECT_EQ(on.fingerprint, off.fingerprint);
-  EXPECT_EQ(on.merge_log, off.merge_log);
-  EXPECT_EQ(on.delivered, off.delivered);
-  ASSERT_EQ(on.delivered.size(), 16u);
-  for (size_t i = 1; i < 8; ++i) {
-    EXPECT_LT(on.delivered[i - 1], on.delivered[i]) << "send order violated";
+TEST(ShardedDeterminism, SameInstantBurstDeliversInSendOrder) {
+  const BurstRun t1 = RunSameInstantBurst(1);
+  ASSERT_EQ(t1.cross, 16u);
+  ASSERT_EQ(t1.delivered.size(), 16u);
+  for (size_t i = 1; i < t1.delivered.size(); ++i) {
+    EXPECT_LT(t1.delivered[i - 1], t1.delivered[i]) << "send order violated";
   }
+  const BurstRun t2 = RunSameInstantBurst(2);
+  EXPECT_EQ(t2.cross, t1.cross);
+  EXPECT_EQ(t2.fingerprint, t1.fingerprint);
+  EXPECT_EQ(t2.merge_log, t1.merge_log);
+  EXPECT_EQ(t2.delivered, t1.delivered);
 }
 
 // The epoch-leap optimization must not change behaviour: widely spaced
@@ -871,11 +846,11 @@ TEST(ShardedDeterminism, AdaptiveWindowClampedToRegisteredLatency) {
   opts.epoch_ns = 5'000;
   opts.threads = 1;
   opts.adaptive_epochs = true;
-  opts.controller_period = 2;
   ShardedEventLoop engine(opts);
   engine.RegisterCrossLatency(20'000);
   // Dense tickers on both shards: ~50 events per shard per 5us epoch, far
-  // above the widen threshold.
+  // above the widen threshold. Two decisions (16 epochs, 120us) reach the
+  // 20us clamp well before the tickers stop at 400us.
   std::vector<std::function<void()>> ticks(2);
   for (int s = 0; s < 2; ++s) {
     EventLoop& shard = engine.shard(s);

@@ -149,7 +149,7 @@ TEST_P(FairnessByNice, WeightedShareWithinTolerance) {
   // fixed horizon.
   std::vector<Task*> tasks;
   for (int i = 0; i < 2; ++i) {
-    tasks.push_back(h.core.CreateTaskOn("t" + std::to_string(i),
+    tasks.push_back(h.core.CreateTaskOn(std::string("t").append(std::to_string(i)),
                                         std::make_unique<SpinForeverBody>(Microseconds(500)),
                                         h.policy, i == 0 ? nice : 0, CpuMask::Single(0)));
   }

@@ -714,7 +714,8 @@ TEST(PortfolioUpgrade, ThrowDuringReinjectionRollsBackWithoutTaskLoss) {
   std::vector<Task*> tasks;
   for (int i = 0; i < 24; ++i) {
     tasks.push_back(s.core->CreateTask(
-        "c" + std::to_string(i), std::make_unique<CpuBoundBody>(Milliseconds(10), Microseconds(50)),
+        std::string("c").append(std::to_string(i)),
+        std::make_unique<CpuBoundBody>(Milliseconds(10), Microseconds(50)),
         s.enoki_policy));
   }
   EnokiRuntime* rt = s.runtime.get();

@@ -180,7 +180,7 @@ TEST(ShinjukuProperty, EqualTasksCompleteInArrivalOrder) {
     const int id = i;
     core.loop().ScheduleAfter(Microseconds(50) * (i + 1), [&core, &completion_order, id, policy] {
       auto done = std::make_shared<bool>(false);
-      core.CreateTaskOn("t" + std::to_string(id),
+      core.CreateTaskOn(std::string("t").append(std::to_string(id)),
                         MakeFnBody([done, &completion_order, id](SimContext&) -> Action {
                           if (!*done) {
                             *done = true;

@@ -388,7 +388,7 @@ TEST(Fifo, RunsTasksInArrivalOrderPerCore) {
   for (int i = 0; i < 3; ++i) {
     const int id = i;
     auto ran = std::make_shared<bool>(false);
-    sim.core.CreateTaskOn("t" + std::to_string(i),
+    sim.core.CreateTaskOn(std::string("t").append(std::to_string(i)),
                           MakeFnBody([&order, id, ran](SimContext&) -> Action {
                             if (!*ran) {
                               *ran = true;
@@ -492,7 +492,7 @@ TEST(Locality, HintsCoLocateGroups) {
   for (int g = 0; g < 2; ++g) {
     for (int i = 0; i < 2; ++i) {
       auto left = std::make_shared<int>(30);
-      Task* t = sim.core.CreateTask("g" + std::to_string(g),
+      Task* t = sim.core.CreateTask(std::string("g").append(std::to_string(g)),
                                     MakeFnBody([left](SimContext&) -> Action {
                                       if (*left == 0) {
                                         return Action::Exit();

@@ -465,43 +465,6 @@ TEST(SimKernel, ShardedDeterminismSweepAcrossSeedsAndThreads) {
   }
 }
 
-// Batched mailbox commit is an encoding change, not a behaviour change: the
-// coalesced headers must expand to the exact per-message merge sequence, so
-// for every seed and host thread count the fingerprint and all scalar outputs
-// are identical with coalescing on and off.
-TEST(SimKernel, BatchedCommitFingerprintInvariantAcrossSeedsAndThreads) {
-  const MachineSpec machine{16, 4, "4-node mini (4x4)"};
-  for (uint64_t seed = 1; seed <= 100; ++seed) {
-    MultitenantConfig cfg;
-    cfg.machine = machine;
-    cfg.nshards = 4;
-    cfg.tenants_per_group = 2;
-    cfg.rate_per_tenant = 20'000.0;
-    cfg.workers_per_group = 3;
-    cfg.warmup = Microseconds(200);
-    cfg.runtime = Milliseconds(2);
-    cfg.seed = seed;
-
-    cfg.batched_commit = true;
-    cfg.shard_threads = 1;
-    const MultitenantResult batched = RunMultitenant(cfg);
-    ASSERT_GT(batched.events, 0u) << "seed " << seed;
-    cfg.batched_commit = false;
-    for (int threads : {1, 2, 4}) {
-      cfg.shard_threads = threads;
-      const MultitenantResult plain = RunMultitenant(cfg);
-      ASSERT_EQ(plain.fingerprint, batched.fingerprint)
-          << "seed " << seed << " threads " << threads;
-      ASSERT_EQ(plain.completed, batched.completed)
-          << "seed " << seed << " threads " << threads;
-      ASSERT_EQ(plain.events, batched.events) << "seed " << seed << " threads " << threads;
-      ASSERT_EQ(plain.cross_messages, batched.cross_messages)
-          << "seed " << seed << " threads " << threads;
-      ASSERT_EQ(plain.p99, batched.p99) << "seed " << seed << " threads " << threads;
-    }
-  }
-}
-
 // The same sweep with the epoch controller live: adaptive mode consumes only
 // committed state, so the widen/narrow schedule — folded into the fingerprint
 // along with the final window — must be identical across thread counts too.
@@ -533,6 +496,62 @@ TEST(SimKernel, AdaptiveShardedDeterminismSweepAcrossSeedsAndThreads) {
       ASSERT_EQ(r.widens, base.widens) << "seed " << seed << " threads " << threads;
       ASSERT_EQ(r.final_window_ns, base.final_window_ns)
           << "seed " << seed << " threads " << threads;
+    }
+  }
+}
+
+// What one multitenant run computed, read through public accessors only:
+// the counts, the latency percentiles, every shard core's fingerprint and
+// the merge order. Unlike MultitenantResult::fingerprint it leaves out the
+// epoch schedule (epochs, idle leaps, controller decisions, final window).
+std::vector<uint64_t> SimulationDigest(const MultitenantConfig& cfg) {
+  MultitenantSim sim(cfg);
+  const MultitenantResult r = sim.Run();
+  std::vector<uint64_t> d = {r.completed, r.handoffs, r.cross_messages, r.events,
+                             r.p50,       r.p99};
+  for (int i = 0; i < sim.ncores(); ++i) {
+    d.push_back(sim.core(i).Fingerprint());
+  }
+  d.push_back(sim.engine().MergeFingerprint());
+  return d;
+}
+
+// The simulation does not depend on the epoch schedule: with one fixed
+// cross-node latency, every static window up to that latency, adaptive
+// epochs and any host thread count compute the same digest, under Poisson
+// and heavy-tailed arrivals alike.
+TEST(SimKernel, ShardedDigestIndependentOfEpochSchedule) {
+  const MachineSpec machine{16, 4, "4-node mini (4x4)"};
+  for (ArrivalDist arrival : {ArrivalDist::kPoisson, ArrivalDist::kPareto}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      MultitenantConfig cfg;
+      cfg.machine = machine;
+      cfg.nshards = 4;
+      cfg.tenants_per_group = 2;
+      cfg.rate_per_tenant = 20'000.0;
+      cfg.workers_per_group = 3;
+      cfg.remote_fraction = 0.2;
+      cfg.remote_latency = Microseconds(100);
+      cfg.arrival = arrival;
+      cfg.warmup = Microseconds(200);
+      cfg.runtime = Milliseconds(2);
+      cfg.seed = seed;
+      cfg.shard_threads = 1;
+      const std::vector<uint64_t> base = SimulationDigest(cfg);
+      ASSERT_GT(base[1], 0u) << "seed " << seed << ": no handoffs";
+      for (int threads : {1, 4}) {
+        cfg.shard_threads = threads;
+        for (int window_us : {5, 10, 20, 50, 100}) {
+          cfg.epoch_ns = Microseconds(window_us);
+          ASSERT_EQ(SimulationDigest(cfg), base)
+              << "seed " << seed << " threads " << threads << " window " << window_us << "us";
+        }
+        cfg.epoch_ns = Microseconds(20);
+        cfg.adaptive_epochs = true;
+        ASSERT_EQ(SimulationDigest(cfg), base)
+            << "seed " << seed << " threads " << threads << " adaptive";
+        cfg.adaptive_epochs = false;
+      }
     }
   }
 }

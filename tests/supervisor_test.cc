@@ -772,7 +772,7 @@ class LadderModel {
     s_.core->Start();
     for (int i = 0; i < 4; ++i) {
       tasks_.push_back(s_.core->CreateTask(
-          "m" + std::to_string(i),
+          std::string("m").append(std::to_string(i)),
           std::make_unique<CpuBoundBody>(Milliseconds(5), Microseconds(100)), s_.enoki_policy));
     }
     Advance(Microseconds(300));
