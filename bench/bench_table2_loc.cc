@@ -49,7 +49,7 @@ void Run() {
       {"Enoki-C analog (runtime + upgrade + hints)",
        CountAll({"enoki/runtime.h", "enoki/runtime.cc"}), "Enoki-C: 2411 (C)"},
       {"Scheduler libEnoki (API/trait, tokens, queues)",
-       CountAll({"enoki/api.h", "enoki/lock.h", "enoki/lock.cc"}),
+       CountAll({"enoki/api.h", "enoki/lock.h", "enoki/lock.cc", "enoki/token_queue.h"}),
        "Scheduler libEnoki: 962 (Rust, 94 unsafe)"},
       {"Other libEnoki analog (simulated kernel substrate)",
        CountAll({"simkernel/sched_core.h", "simkernel/sched_core.cc", "simkernel/task.h",
