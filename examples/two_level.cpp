@@ -111,5 +111,8 @@ int main() {
   std::printf("\nfinal state: %zu cores granted to app %llu, %zu cores free for CFS\n",
               arbiter->granted_cores(kAppId), static_cast<unsigned long long>(kAppId),
               arbiter->free_cores());
+  // The poller re-arms itself through `poll`; break that self-reference so
+  // the example exits without leaking it.
+  *poll = nullptr;
   return 0;
 }
