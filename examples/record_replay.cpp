@@ -75,6 +75,9 @@ int main() {
     std::printf("failed to load trace\n");
     return 1;
   }
+  // Exits 0 only when the same code replays cleanly and the wrong code
+  // diverges.
+  bool ok = true;
   {
     ReplayEngine engine(trace, 8);
     engine.InstallHooks();  // before constructing the module: lock creation order matters
@@ -87,6 +90,7 @@ int main() {
                 static_cast<unsigned long long>(result.response_mismatches),
                 static_cast<unsigned long long>(result.lock_blocks),
                 result.response_mismatches == 0 ? "VALIDATED" : "DIVERGED");
+    ok = ok && result.response_mismatches == 0;
   }
 
   // ---- Replay against a different scheduler: divergence is detected ----
@@ -101,6 +105,7 @@ int main() {
                 static_cast<unsigned long long>(result.calls_replayed),
                 static_cast<unsigned long long>(result.response_mismatches),
                 result.response_mismatches > 0 ? "detected, as expected" : "NOT detected!");
+    ok = ok && result.response_mismatches > 0;
   }
-  return 0;
+  return ok ? 0 : 1;
 }
