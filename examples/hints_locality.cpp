@@ -6,7 +6,8 @@
 // hint queue. The locality-aware scheduler co-locates each group on one
 // core, converting expensive cross-core wakeups of deep-idle cores into
 // cheap same-core handoffs. We run the same workload with and without hints
-// and print both tails.
+// and print both tails. Exits 1 unless both runs recorded wakeups and the
+// hints cut the p99.
 
 #include <cstdio>
 #include <memory>
@@ -58,5 +59,13 @@ int main() {
   const double speedup = static_cast<double>(random_placement.p99) /
                          static_cast<double>(std::max<Duration>(with_hints.p99, 1));
   std::printf("\nhints cut the p99 wakeup latency by %.1fx\n", speedup);
+  if (random_placement.wakeups == 0 || with_hints.wakeups == 0) {
+    std::fprintf(stderr, "FAIL: a run recorded no wakeup latencies\n");
+    return 1;
+  }
+  if (with_hints.p99 >= random_placement.p99) {
+    std::fprintf(stderr, "FAIL: hints did not beat random placement at the p99\n");
+    return 1;
+  }
   return 0;
 }

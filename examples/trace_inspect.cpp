@@ -5,7 +5,9 @@
 // With no argument, it records a short WFQ run itself and then inspects it.
 // Prints the call mix, per-kernel-thread activity, lock statistics, and the
 // head of the trace — the kind of first look a developer takes before
-// replaying a misbehaving scheduler.
+// replaying a misbehaving scheduler. On the demo trace it exits 1 unless the
+// trace holds a pick and a lock acquisition and the per-thread counts add
+// up to the entry count.
 
 #include <algorithm>
 #include <cstdio>
@@ -49,7 +51,8 @@ std::string RecordDefaultTrace(const char* path) {
 
 int main(int argc, char** argv) {
   std::string path;
-  if (argc > 1) {
+  const bool demo = argc <= 1;
+  if (!demo) {
     path = argv[1];
   } else {
     path = RecordDefaultTrace("/tmp/enoki_inspect_demo.log");
@@ -123,5 +126,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(e.resp0));
   }
   std::printf("\nTo replay this trace, see examples/record_replay.cpp.\n");
+  if (demo) {
+    uint64_t per_kthread = 0;
+    for (const auto& [kthread, count] : by_kthread) {
+      per_kthread += count;
+    }
+    if (picks == 0 || lock_acquires.empty() || per_kthread != trace.size()) {
+      std::fprintf(stderr,
+                   "FAIL: demo trace has %llu picks, %zu locks, %llu of %zu entries by kthread\n",
+                   static_cast<unsigned long long>(picks), lock_acquires.size(),
+                   static_cast<unsigned long long>(per_kthread), trace.size());
+      return 1;
+    }
+  }
   return 0;
 }

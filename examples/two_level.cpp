@@ -6,7 +6,9 @@
 // scheduler activations and asks for them back through the kernel-to-user
 // queue when demand drops. This example drives the arbiter directly
 // (the full memcached workload lives in bench_fig3_arachne) and prints the
-// grant/reclaim conversation.
+// grant/reclaim conversation. Exits 1 unless the grants follow the script:
+// 3 cores granted after the 1 ms request, 2 of them reclaimed after the
+// 10 ms request for 1.
 
 #include <cstdio>
 #include <memory>
@@ -71,8 +73,10 @@ int main() {
   };
   // Poll the reverse queue and apply grants/reclaims, like the Arachne
   // runtime does.
+  int grants = 0;
+  int reclaims = 0;
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [&core, &runtime, rev_q, reclaim_flag, parks, &activations, poll] {
+  *poll = [&core, &runtime, rev_q, reclaim_flag, parks, &activations, &grants, &reclaims, poll] {
     while (auto hint = runtime.PollRevHint(rev_q)) {
       const uint64_t pid = hint->w[3];
       for (size_t i = 0; i < activations.size(); ++i) {
@@ -80,11 +84,13 @@ int main() {
           continue;
         }
         if (hint->w[0] == ArbiterSched::kGrantCore) {
+          ++grants;
           std::printf("[%6.2f ms] kernel: granted core %llu to activation %zu\n",
                       ToMilliseconds(core.now()), static_cast<unsigned long long>(hint->w[2]),
                       i);
           core.Signal((*parks)[i].get());
         } else {
+          ++reclaims;
           std::printf("[%6.2f ms] kernel: reclaiming core %llu from activation %zu\n",
                       ToMilliseconds(core.now()), static_cast<unsigned long long>(hint->w[2]),
                       i);
@@ -114,5 +120,13 @@ int main() {
   // The poller re-arms itself through `poll`; break that self-reference so
   // the example exits without leaking it.
   *poll = nullptr;
+  // Cores 1..7 are arbitrated: after the requests for 3 and then 1, the app
+  // holds one and CFS the other six.
+  if (grants != 3 || reclaims != 2 || arbiter->granted_cores(kAppId) != 1 ||
+      arbiter->free_cores() != 6) {
+    std::fprintf(stderr, "FAIL: %d grants and %d reclaims; expected 3 and 2, ending at 1 granted\n",
+                 grants, reclaims);
+    return 1;
+  }
   return 0;
 }

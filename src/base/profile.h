@@ -8,8 +8,8 @@
 //
 //  - Local counters (WheelProfile, ShardProfile): plain uint64_t structs
 //    owned by single-threaded objects (an EventLoop is touched by exactly
-//    one thread per epoch; ShardedEventLoop's barrier code runs on the main
-//    thread only). Zero synchronization cost, aggregated by the owner on
+//    one thread per epoch; ShardedEventLoop's profile is written by thread
+//    0 only). Zero synchronization cost, aggregated by the owner on
 //    demand. These are the per-event-frequency counters.
 //  - Global counters (GlobalCounters): relaxed atomics for rare allocation
 //    events raised from deep inside helpers that have no natural owner to
@@ -56,15 +56,17 @@ struct WheelProfile {
 };
 
 // Per-ShardedEventLoop barrier/merge/controller counters. Written only by
-// the thread driving RunUntil (the barrier owner).
+// thread 0, the thread driving RunUntil; every host thread passes the same
+// one barrier per epoch and commits for itself, so thread 0's view covers
+// the run.
 struct ShardProfile {
   uint64_t epochs = 0;        // committed epoch barriers
   uint64_t idle_leaps = 0;    // epochs whose window start leapt an idle span
   uint64_t commit_msgs = 0;   // cross-shard messages committed
   uint64_t widens = 0;        // controller WIDEN decisions applied
   uint64_t narrows = 0;       // controller NARROW decisions applied
-  uint64_t commit_ns = 0;     // wall ns draining+sorting+committing outboxes
-  uint64_t barrier_ns = 0;    // wall ns the main thread waited on workers
+  uint64_t commit_ns = 0;     // wall ns thread 0 folded the merge order
+  uint64_t barrier_ns = 0;    // wall ns thread 0 waited at the epoch barrier
 };
 
 // Process-wide counters for allocation events raised from helpers with no
@@ -95,16 +97,22 @@ inline void ProfCount(GlobalCounters::Id id, uint64_t n = 1) {
   GlobalCounters::Get().Add(id, n);
 }
 
-// Accumulates wall-clock ns into `*sink` over its scope. Used only at epoch
-// granularity (two reads of steady_clock per epoch), never per event.
+// Accumulates wall-clock ns into `*sink` over its scope; a null sink reads no
+// clock. Used only at epoch granularity (two reads of steady_clock per epoch
+// and field), never per event.
 class ProfTimer {
  public:
-  explicit ProfTimer(uint64_t* sink)
-      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
+  explicit ProfTimer(uint64_t* sink) : sink_(sink) {
+    if (sink_ != nullptr) {
+      start_ = std::chrono::steady_clock::now();
+    }
+  }
   ~ProfTimer() {
-    *sink_ += static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now() - start_)
-                                        .count());
+    if (sink_ != nullptr) {
+      *sink_ += static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                          std::chrono::steady_clock::now() - start_)
+                                          .count());
+    }
   }
   ProfTimer(const ProfTimer&) = delete;
   ProfTimer& operator=(const ProfTimer&) = delete;

@@ -22,22 +22,27 @@
 //      each other mid-epoch, and the parallel execution is race-free by
 //      construction (each loop is touched by exactly one thread per epoch;
 //      the epoch barrier orders the hand-off).
-//   3. At the barrier, all outboxes are drained and committed in sorted
-//      (deliver_time, src_shard, src_seq) order. The sort key is a total
-//      order independent of which thread ran which shard when, so the
+//   3. Each epoch ends in one symmetric barrier that all T threads pass, the
+//      caller included; nothing runs serially between epochs. After it, every
+//      thread reads every thread's published slot and commits the messages
+//      in sorted (deliver_time, src_shard, src_seq) order. The sort key is a
+//      total order independent of which thread ran which shard when, so the
 //      insertion sequence numbers the destination loops assign — and hence
 //      all downstream tie-breaking — are identical for every T.
-//   4. Owner-side peek and commit: every cross-shard message is one
-//      mailbox header (deliver_time, src_shard, src_seq, payload index),
-//      pushed by the sending shard's thread into its owner's padded slot.
-//      The barrier thread does only the global part (sort, fingerprint,
-//      routing, next-time minimum, controller). Each host thread publishes
-//      its shards' post-run PeekTime and event count in the same slot, and
-//      inserts the messages committed to its shards at the start of the
-//      next epoch, in the global order restricted to each destination: the
-//      same per-loop ScheduleAt sequence a serial commit makes. Payload
-//      buffers alternate by epoch parity, so a shard never posts into the
-//      buffer its destinations are still reading.
+//   4. Owner-side peek and commit: every cross-shard message is one mailbox
+//      header (deliver_time, src_shard, dst_shard, src_seq, payload index),
+//      pushed by the sending shard's thread into its own padded slot, next to
+//      the post-run PeekTime and event count of the shards it runs. After the
+//      barrier each thread inserts the messages committed to its shards (the
+//      global order restricted to each destination: the same per-loop
+//      ScheduleAt sequence a serial commit makes) and derives the next
+//      horizon, leap flag and controller window from all slots itself. Every
+//      thread reads the same inputs, so all derive the same schedule. Thread
+//      0 alone folds the global order into MergeFingerprint and counts the
+//      profile. Slots and payload buffers alternate by epoch parity: a fast
+//      thread publishes epoch n+1 into the other parity while a slow one
+//      still reads epoch n, and an owner clears a buffer only after the next
+//      barrier, which proves every reader is done with it.
 //
 // When every shard is quiet the horizon leaps directly to the global next
 // event time (minus one window) instead of stepping epoch-by-epoch; this is
@@ -68,6 +73,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -187,28 +193,26 @@ class ShardedEventLoop {
   // Epochs per controller decision (its sliding stats window).
   static constexpr int kControllerPeriod = 8;
 
-  explicit ShardedEventLoop(Options opts) : opts_(opts), window_(opts.epoch_ns) {
+  explicit ShardedEventLoop(Options opts) : opts_(opts), sched_(opts.epoch_ns) {
     ENOKI_CHECK(opts.nshards >= 1);
     ENOKI_CHECK(opts.epoch_ns > 0);
     threads_ = ResolveThreads(opts.threads, opts.nshards);
-    slots_ = std::vector<WorkerSlot>(static_cast<size_t>(threads_));
+    slots_ = std::vector<Slot>(2 * static_cast<size_t>(threads_));
     shards_.reserve(static_cast<size_t>(opts.nshards));
     for (int i = 0; i < opts.nshards; ++i) {
-      WorkerSlot& owner = slots_[static_cast<size_t>(i % threads_)];
-      shards_.push_back(std::make_unique<Shard>(&owner.headers));
+      shards_.push_back(std::make_unique<Shard>(&slot(Owner(i), 0)));
     }
-    // Workers own a static shard partition (worker j runs shards with
-    // index % threads == j+1; the calling thread runs index % threads == 0).
-    // Static partitioning keeps the barrier logic minimal and is fair when
-    // shards are symmetric, which NUMA-node shards are.
+    // Thread j runs the shards with index % threads == j; the calling thread
+    // is thread 0. Static partitioning keeps shard state on one core and is
+    // fair when shards are symmetric, which NUMA-node shards are.
     for (int j = 1; j < threads_; ++j) {
       workers_.emplace_back([this, j] { WorkerMain(j); });
     }
   }
 
   ~ShardedEventLoop() {
-    stop_.store(true, std::memory_order_release);
-    epoch_gen_.fetch_add(1, std::memory_order_release);  // wake waiters
+    stop_ = true;
+    Barrier(sched_);  // the workers wait here for the next run call
     for (auto& w : workers_) {
       w.join();
     }
@@ -222,11 +226,11 @@ class ShardedEventLoop {
   Duration epoch_ns() const { return opts_.epoch_ns; }
   // Current effective window (== epoch_ns until an adaptive controller moves
   // it).
-  Duration window_ns() const { return window_; }
+  Duration window_ns() const { return sched_.window; }
   EventLoop& shard(int i) { return shards_[static_cast<size_t>(i)]->loop; }
 
   // Committed horizon: no shard has unexecuted events at or before this time.
-  Time now() const { return now_; }
+  Time now() const { return sched_.now; }
 
   // Declares that every future PostCross through this engine carries at
   // least `latency`. Must be called before the first epoch runs. The
@@ -241,13 +245,14 @@ class ShardedEventLoop {
     min_cross_latency_ = std::min(min_cross_latency_, latency);
   }
 
-  // Barrier/merge/controller counters. Count-type fields are deterministic
-  // across hosts and thread counts; *_ns fields are wall-clock.
+  // Barrier/merge/controller counters, as thread 0 saw them. Count-type
+  // fields are deterministic across hosts and thread counts; *_ns fields
+  // are wall-clock.
   ShardProfile profile() const {
     ShardProfile p = prof_;
-    if (controller_ != nullptr) {
-      p.widens = controller_->widens();
-      p.narrows = controller_->narrows();
+    if (sched_.controller) {
+      p.widens = sched_.controller->widens();
+      p.narrows = sched_.controller->narrows();
     }
     return p;
   }
@@ -277,55 +282,31 @@ class ShardedEventLoop {
     ENOKI_CHECK_MSG(latency >= LookaheadBound(),
                     "cross-shard latency below the epoch lookahead bound "
                     "(adaptive mode: register the smallest latency in use)");
-    if (opts_.nshards == 1) {
-      s.loop.ScheduleAfter(latency, std::move(fn));
-      return;
-    }
-    std::vector<CrossSub>& subs = s.subs[post_parity_];
+    std::vector<std::function<void()>>& subs = s.subs[s.parity];
     ENOKI_CHECK_MSG(subs.size() < kMailboxSlots, "shard outbox overflow (bounded mailbox)");
-    s.outbox->push_back(
-        CrossMsg{s.loop.now() + latency, src, ++s.out_seq, static_cast<uint32_t>(subs.size())});
-    subs.push_back(CrossSub{dst, std::move(fn)});
+    s.slots[s.parity].headers.push_back(CrossMsg{s.loop.now() + latency, src, dst, ++s.out_seq,
+                                                 static_cast<uint32_t>(subs.size())});
+    subs.push_back(std::move(fn));
   }
 
   // Runs all events with time <= deadline; on return now() == deadline.
   void RunUntil(Time deadline) {
     if (opts_.nshards == 1) {
       shards_[0]->loop.RunUntil(deadline);
-      now_ = deadline;
+      sched_.now = deadline;
       return;
     }
-    Time gmin = now_ < deadline ? GlobalNextTime() : kTimeMax;
-    while (now_ < deadline && gmin <= deadline) {
-      bool leapt = false;
-      const Time target = EpochTarget(gmin, deadline, &leapt);
-      gmin = RunEpoch(target, leapt);
-    }
-    // Messages committed at the last barrier but due after the deadline:
-    // insert them now, so between calls every loop holds its whole future.
-    DeliverCommitted();
-    if (now_ < deadline) {
-      // No events in (now_, deadline]: just advance every clock.
-      for (auto& sh : shards_) {
-        sh->loop.RunUntil(deadline);
-      }
-      now_ = deadline;
-    }
+    Run(deadline);
   }
 
+  // Runs until nothing is pending anywhere, committed messages included.
   void RunUntilIdle() {
     if (opts_.nshards == 1) {
       shards_[0]->loop.RunUntilIdle();
-      now_ = shards_[0]->loop.now();
+      sched_.now = shards_[0]->loop.now();
       return;
     }
-    // Ends only when nothing is pending anywhere, committed messages
-    // included (they count toward gmin), so there is nothing left to deliver.
-    for (Time gmin = GlobalNextTime(); gmin != kTimeMax;) {
-      bool leapt = false;
-      const Time target = EpochTarget(gmin, kTimeMax, &leapt);
-      gmin = RunEpoch(target, leapt);
-    }
+    Run(kTimeMax);
   }
 
   bool HasWork() const {
@@ -355,7 +336,10 @@ class ShardedEventLoop {
 
   // Observer invoked for each committed cross-shard message in commit order;
   // used to record the merge sequence into an Enoki trace (see
-  // AttachShardMergeRecorder in enoki/runtime.h).
+  // AttachShardMergeRecorder in enoki/runtime.h). It runs on the calling
+  // thread (thread 0) right after each barrier, while the other host threads
+  // already run their shards' next epoch, so it must touch only state of
+  // its own.
   using MergeObserver = std::function<void(Time deliver_at, int src, int dst, uint64_t seq)>;
   void set_merge_observer(MergeObserver obs) { merge_observer_ = std::move(obs); }
 
@@ -369,68 +353,67 @@ class ShardedEventLoop {
   }
 
  private:
-  // A message's payload: destination shard + closure. Stored in the sending
-  // shard's `subs` side vector; the header references it by index.
-  struct CrossSub {
-    int dst = 0;
-    std::function<void()> fn;
-  };
-
   // Mailbox header of one cross-shard message: its commit sort key
-  // (deliver_at, src, seq) and the index of its payload in src's subs.
+  // (deliver_at, src, seq), its destination and the index of its payload
+  // in src's subs buffer of the same parity.
   struct CrossMsg {
     Time deliver_at = 0;
     int src = 0;
+    int dst = 0;
     uint64_t seq = 0;
     uint32_t sub = 0;
   };
 
-  // A committed message waiting in its destination's inbox: the payload
-  // stays in the source's parity buffer until the owner inserts it.
-  struct Delivery {
-    Time deliver_at = 0;
-    CrossSub* sub = nullptr;
+  // What a thread publishes for one epoch parity after running its shards
+  // to the target: the other threads read these instead of touching every
+  // shard's loop. Padded to its own cache line, so a thread publishing one
+  // parity never shares a line with readers of the other or another thread.
+  struct alignas(64) Slot {
+    Time peek = kTimeMax;           // min PeekTime over the owned shards
+    uint64_t events = 0;            // events the owned shards ran
+    std::vector<CrossMsg> headers;  // messages the owned shards posted
   };
 
   struct Shard {
-    explicit Shard(std::vector<CrossMsg>* owner_outbox) : outbox(owner_outbox) {
+    explicit Shard(Slot* owner_slots) : slots(owner_slots) {
       // Sized for a typical epoch's traffic up front, so the run phase
       // rarely pays vector growth.
       subs[0].reserve(kInitialMsgs);
       subs[1].reserve(kInitialMsgs);
-      inbox.reserve(kInitialMsgs);
     }
     static constexpr size_t kInitialMsgs = 64;
     EventLoop loop;
-    // (dst, fn) payloads by epoch parity: the shard posts into
-    // subs[post_parity_] while, at the start of the same epoch, the
-    // destinations' owners move out the payloads committed from the other
-    // buffer at the last barrier. The barrier thread flips the parity and
-    // clears a buffer only once its payloads have all been delivered.
-    std::vector<CrossSub> subs[2];
-    // Headers go to the owner thread's slot, so the barrier reads one
-    // vector per thread rather than one per shard.
-    std::vector<CrossMsg>* outbox;
+    // Payloads by epoch parity. The shard posts into subs[parity] while the
+    // destinations' owners may still move out the other buffer's payloads,
+    // committed at the last barrier. The owner clears a buffer, and flips
+    // `parity` to it, after the barrier that follows those moves.
+    std::vector<std::function<void()>> subs[2];
+    int parity = 0;
+    // Headers go to the owner thread's slots (one per parity), so a commit
+    // reads one vector per thread rather than one per shard.
+    Slot* slots;
     uint64_t out_seq = 0;
-    // Messages committed to this shard, in commit order. Filled by the
-    // barrier thread, inserted into `loop` by the owner at the start of the
-    // next epoch (or by DeliverCommitted when a run call returns).
-    std::vector<Delivery> inbox;
   };
 
-  // What an owner thread publishes after running its shards to the target:
-  // the barrier reads these instead of touching every shard's loop. Padded
-  // to its own cache line so owners never share one.
-  struct alignas(64) WorkerSlot {
-    Time peek = kTimeMax;           // min PeekTime over the owned shards
-    uint64_t events = 0;            // events the owned shards ran this epoch
-    std::vector<CrossMsg> headers;  // messages the owned shards posted
+  // One thread's copy of the epoch schedule. Every thread derives it from
+  // the same committed inputs after each barrier, so the copies agree;
+  // thread 0's (sched_) is the one the accessors report.
+  struct Schedule {
+    explicit Schedule(Duration w) : window(w) {}
+    Time now = 0;
+    Duration window;  // effective epoch width (moved by the controller)
+    std::optional<EpochController> controller;  // built lazily, adaptive only
+    uint64_t epochs = 0;          // epochs run: the parity of the next one
+    uint64_t barriers = 0;        // barriers passed
+    std::vector<CrossMsg> mail;   // reused commit buffer
   };
 
-  // Earliest pending event time across all shards. Only valid when every
-  // committed message has been delivered (at entry to a run call); between
-  // epochs RunEpoch computes the same minimum from the owners' peeks and
-  // the committed messages instead.
+  int Owner(int shard) const { return shard % threads_; }
+  Slot& slot(int thread, int parity) { return slots_[static_cast<size_t>(2 * thread + parity)]; }
+
+  // Earliest pending event time across all shards. Only valid between run
+  // calls, when every committed message has been delivered; between epochs
+  // Commit computes the same minimum from the slots instead.
   Time GlobalNextTime() {
     Time t = kTimeMax;
     for (auto& sh : shards_) {
@@ -451,150 +434,107 @@ class ShardedEventLoop {
     return std::max(min_cross_latency_, opts_.epoch_ns);
   }
 
-  // Next horizon. The window must be at most window_ wide so the lookahead
+  // Next horizon. The window must be at most s.window wide so the lookahead
   // argument holds; when the next event is beyond one window the start leaps
-  // to (gmin - window_), which is safe because the skipped span is empty.
+  // to (gmin - window), which is safe because the skipped span is empty.
   // Sets *leapt when the start leapt an idle span (a controller input).
-  Time EpochTarget(Time gmin, Time deadline, bool* leapt) const {
-    Time start = now_;
+  static Time EpochTarget(const Schedule& s, Time gmin, Time deadline, bool* leapt) {
+    Time start = s.now;
     *leapt = false;
-    if (gmin > window_ && gmin - window_ > start) {
-      start = gmin - window_;
+    if (gmin > s.window && gmin - s.window > start) {
+      start = gmin - s.window;
       *leapt = true;
     }
-    return std::min(start + window_, deadline);
+    return std::min(start + s.window, deadline);
   }
 
-  // Runs one epoch to `target` and commits its cross-shard messages.
-  // Returns the earliest pending time: the min of the owners' published
-  // peeks and of the committed messages' delivery times, which is what
-  // GlobalNextTime would read once those messages were inserted.
-  Time RunEpoch(Time target, bool leapt) {
-    ++prof_.epochs;
-    prof_.idle_leaps += leapt ? 1 : 0;
-    target_ = target;
-    if (threads_ > 1) {
-      // Release on the generation bump publishes target_, the inboxes and
-      // the parity (and all prior shard state) to workers; their acquire
-      // load pairs with it.
-      epoch_gen_.fetch_add(1, std::memory_order_release);
-    }
-    RunOwnedShards(/*worker=*/0);
-    if (threads_ > 1) {
-      // Workers' release increments of done_workers_ pair with this acquire
-      // loop: once observed, all their shard mutations, slot writes and
-      // header pushes happen-before the merge below.
-      ProfTimer wait_timer(&prof_.barrier_ns);
-      while (done_workers_.load(std::memory_order_acquire) < threads_ - 1) {
-        std::this_thread::yield();
-      }
-      done_workers_.store(0, std::memory_order_relaxed);
-    }
-    Time next = kTimeMax;
-    uint64_t events = 0;
-    for (const WorkerSlot& w : slots_) {
-      next = std::min(next, w.peek);
-      events += w.events;
-    }
-    const uint64_t committed = CommitMailboxes(target, &next);
-    now_ = target;
-    if (opts_.adaptive_epochs) {
-      if (controller_ == nullptr) {
-        EpochController::Config cc;
-        cc.floor = std::max<Duration>(opts_.epoch_ns / 4, 1);
-        cc.ceiling = LookaheadBound();
-        cc.period = kControllerPeriod;
-        cc.mailbox_slots = kMailboxSlots;
-        controller_ = std::make_unique<EpochController>(cc);
-        window_ = std::clamp(window_, cc.floor, cc.ceiling);
-      }
-      // Committed counts only: identical for every host thread count, so
-      // the window schedule (and the run) stays byte-identical too.
-      window_ = controller_->OnEpoch(window_, committed, events, leapt);
-    }
-    return next;
+  // One run call: a parallel region in which every thread runs EpochLoop,
+  // the caller as thread 0. kTimeMax runs until idle. The closing barrier
+  // hands every loop back to the caller.
+  void Run(Time deadline) {
+    region_deadline_ = deadline;
+    region_gmin_ = GlobalNextTime();
+    Barrier(sched_);
+    EpochLoop(0, sched_);
+    Barrier(sched_);
   }
 
-  // One thread's share of an epoch: insert each owned shard's committed
-  // messages, run it to target_, then publish the shards' next event time
-  // and executed-event count in the thread's slot (PostCross has already
-  // pushed their headers there).
-  void RunOwnedShards(int worker) {
-    WorkerSlot& slot = slots_[static_cast<size_t>(worker)];
-    Time peek = kTimeMax;
-    uint64_t events = 0;
-    for (int i = worker; i < opts_.nshards; i += threads_) {
-      Shard& sh = *shards_[static_cast<size_t>(i)];
-      DeliverInbox(sh);
-      const uint64_t before = sh.loop.events_executed();
-      sh.loop.RunUntil(target_);
-      events += sh.loop.events_executed() - before;
-      peek = std::min(peek, sh.loop.PeekTime());
-    }
-    slot.peek = peek;
-    slot.events = events;
-  }
-
-  // Inserts the shard's committed messages in commit order: the global
-  // (deliver_at, src, seq) order restricted to this destination, i.e. the
-  // same per-loop sequence of ScheduleAt calls a serial commit would make,
-  // so the loop assigns identical seqs.
-  static void DeliverInbox(Shard& sh) {
-    for (const Delivery& d : sh.inbox) {
-      sh.loop.ScheduleAt(d.deliver_at, std::move(d.sub->fn));
-    }
-    sh.inbox.clear();
-  }
-
-  void DeliverCommitted() {
-    for (auto& sh : shards_) {
-      DeliverInbox(*sh);
-    }
-  }
-
-  void WorkerMain(int worker) {
-    uint64_t seen = 0;
+  void WorkerMain(int t) {
+    Schedule s(opts_.epoch_ns);
     for (;;) {
-      const uint64_t gen = epoch_gen_.load(std::memory_order_acquire);
-      if (stop_.load(std::memory_order_acquire)) {
+      Barrier(s);  // a run call opens its region (or the destructor stops us)
+      if (stop_) {
         return;
       }
-      if (gen == seen) {
-        std::this_thread::yield();
-        continue;
-      }
-      seen = gen;
-      RunOwnedShards(worker);
-      done_workers_.fetch_add(1, std::memory_order_release);
+      EpochLoop(t, s);
+      Barrier(s);
     }
   }
 
-  // Gathers every posted header and commits the messages in (deliver_at,
-  // src, seq) order — a total order (seq is unique per src) that does not
-  // depend on which thread ran which shard, so destination-loop insertion
-  // sequence numbers are reproducible for any thread count.
-  //
-  // Committing routes each message to its destination's inbox; the
-  // destination's owner inserts it at the start of the next epoch. Lowers
-  // *next to the earliest delivery time.
-  uint64_t CommitMailboxes(Time target, Time* next) {
-    ProfTimer commit_timer(&prof_.commit_ns);
-    scratch_.clear();
-    for (WorkerSlot& w : slots_) {
-      scratch_.insert(scratch_.end(), w.headers.begin(), w.headers.end());
-      w.headers.clear();
+  // Thread t's side of a run call. Each epoch runs the owned shards to the
+  // target, publishes their peek and event count, passes the barrier, then
+  // commits. On return the owned shards hold every committed message, and
+  // (RunUntil) their clocks stand at the deadline. noexcept: an exception
+  // leaving one thread's callbacks would strand the others at a barrier, so
+  // it ends the program on every thread count, as on a worker thread.
+  void EpochLoop(int t, Schedule& s) noexcept {
+    const Time deadline = region_deadline_;
+    for (Time gmin = region_gmin_; gmin != kTimeMax && gmin <= deadline && s.now < deadline;) {
+      const int p = static_cast<int>(s.epochs & 1);
+      bool leapt = false;
+      const Time target = EpochTarget(s, gmin, deadline, &leapt);
+      Time peek = kTimeMax;
+      uint64_t events = 0;
+      for (int i = t; i < opts_.nshards; i += threads_) {
+        EventLoop& loop = shards_[static_cast<size_t>(i)]->loop;
+        const uint64_t before = loop.events_executed();
+        loop.RunUntil(target);
+        events += loop.events_executed() - before;
+        peek = std::min(peek, loop.PeekTime());
+      }
+      slot(t, p).peek = peek;
+      slot(t, p).events = events;
+      {
+        ProfTimer wait(t == 0 && threads_ > 1 ? &prof_.barrier_ns : nullptr);
+        Barrier(s);
+      }
+      gmin = Commit(t, s, p, target, leapt);
     }
-    // The buffer taking the next epoch's posts held the messages committed
-    // at the last barrier, which this epoch's owners have delivered.
-    const int parity = post_parity_;
-    post_parity_ ^= 1;
-    for (auto& sh : shards_) {
-      sh->subs[post_parity_].clear();
+    if (deadline != kTimeMax && s.now < deadline) {
+      // No events in (now, deadline]: just advance the clocks.
+      for (int i = t; i < opts_.nshards; i += threads_) {
+        shards_[static_cast<size_t>(i)]->loop.RunUntil(deadline);
+      }
+      s.now = deadline;
     }
-    if (scratch_.empty()) {
-      return 0;
+  }
+
+  // Commits epoch parity p on thread t, after its barrier. Gathers every
+  // posted header in (deliver_at, src, seq) order — a total order (seq is
+  // unique per src) that does not depend on which thread ran which shard,
+  // so destination-loop insertion sequence numbers are reproducible for any
+  // thread count — and inserts those addressed to t's shards. Then advances
+  // t's schedule and returns the earliest pending time: the min of the
+  // published peeks and of the committed delivery times, which is what
+  // GlobalNextTime would read now.
+  Time Commit(int t, Schedule& s, int p, Time target, bool leapt) {
+    Time next = kTimeMax;
+    uint64_t events = 0;
+    uint64_t committed = 0;
+    s.mail.clear();
+    for (int w = 0; w < threads_; ++w) {
+      const Slot& pub = slot(w, p);
+      next = std::min(next, pub.peek);
+      events += pub.events;
+      committed += pub.headers.size();
+      for (const CrossMsg& m : pub.headers) {
+        next = std::min(next, m.deliver_at);
+        if (t == 0 || Owner(m.dst) == t) {
+          s.mail.push_back(m);
+        }
+      }
     }
-    std::sort(scratch_.begin(), scratch_.end(), [](const CrossMsg& a, const CrossMsg& b) {
+    std::sort(s.mail.begin(), s.mail.end(), [](const CrossMsg& a, const CrossMsg& b) {
       if (a.deliver_at != b.deliver_at) {
         return a.deliver_at < b.deliver_at;
       }
@@ -603,19 +543,76 @@ class ShardedEventLoop {
       }
       return a.seq < b.seq;
     });
-    for (const CrossMsg& m : scratch_) {
+    if (t == 0) {
+      Fold(s.mail, target, leapt);
+    }
+    for (const CrossMsg& m : s.mail) {
+      if (Owner(m.dst) == t) {
+        std::function<void()>& fn = shards_[static_cast<size_t>(m.src)]->subs[p][m.sub];
+        shards_[static_cast<size_t>(m.dst)]->loop.ScheduleAt(m.deliver_at, std::move(fn));
+      }
+    }
+    // The other parity held the previous epoch's messages, which every
+    // thread inserted before this barrier: clear t's share and post the next
+    // epoch into it.
+    const int q = p ^ 1;
+    slot(t, q).headers.clear();
+    for (int i = t; i < opts_.nshards; i += threads_) {
+      Shard& sh = *shards_[static_cast<size_t>(i)];
+      sh.subs[q].clear();
+      sh.parity = q;
+    }
+    s.now = target;
+    ++s.epochs;
+    if (opts_.adaptive_epochs) {
+      if (!s.controller) {
+        EpochController::Config cc;
+        cc.floor = std::max<Duration>(opts_.epoch_ns / 4, 1);
+        cc.ceiling = LookaheadBound();
+        cc.period = kControllerPeriod;
+        cc.mailbox_slots = kMailboxSlots;
+        s.controller.emplace(cc);
+        s.window = std::clamp(s.window, cc.floor, cc.ceiling);
+      }
+      // Committed counts only: identical for every host thread count, so
+      // the window schedule (and the run) stays byte-identical too.
+      s.window = s.controller->OnEpoch(s.window, committed, events, leapt);
+    }
+    return next;
+  }
+
+  // Thread 0's share of a commit: the global merge order into the
+  // fingerprint and the observer, plus the profile counts.
+  void Fold(const std::vector<CrossMsg>& mail, Time target, bool leapt) {
+    ProfTimer fold(&prof_.commit_ns);
+    ++prof_.epochs;
+    prof_.idle_leaps += leapt ? 1 : 0;
+    prof_.commit_msgs += mail.size();
+    for (const CrossMsg& m : mail) {
       // Lookahead held: the message cannot land inside the epoch that sent it.
       ENOKI_CHECK(m.deliver_at >= target);
-      *next = std::min(*next, m.deliver_at);
-      CrossSub& sub = shards_[static_cast<size_t>(m.src)]->subs[parity][m.sub];
-      merge_hash_ = MixMerge(merge_hash_, m.deliver_at, m.src, sub.dst, m.seq);
+      merge_hash_ = MixMerge(merge_hash_, m.deliver_at, m.src, m.dst, m.seq);
       if (merge_observer_) {
-        merge_observer_(m.deliver_at, m.src, sub.dst, m.seq);
+        merge_observer_(m.deliver_at, m.src, m.dst, m.seq);
       }
-      shards_[static_cast<size_t>(sub.dst)]->inbox.push_back(Delivery{m.deliver_at, &sub});
     }
-    prof_.commit_msgs += scratch_.size();
-    return scratch_.size();
+  }
+
+  // The epoch barrier, symmetric over all threads. Arrivals only ever count
+  // up, so a thread passing its b-th barrier waits for b * threads_ of them.
+  // The release half of each arrival and the acquire wait make every
+  // thread's writes before a barrier visible to every thread after it.
+  void Barrier(Schedule& s) {
+    if (threads_ == 1) {
+      return;
+    }
+    const uint64_t goal = ++s.barriers * static_cast<uint64_t>(threads_);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == goal) {
+      return;
+    }
+    while (arrived_.load(std::memory_order_acquire) < goal) {
+      std::this_thread::yield();
+    }
   }
 
   static uint64_t MixMerge(uint64_t h, Time deliver_at, int src, int dst, uint64_t seq) {
@@ -635,26 +632,20 @@ class ShardedEventLoop {
 
   const Options opts_;
   int threads_ = 1;
-  Time now_ = 0;
   uint64_t merge_hash_ = 14695981039346656037ull;
-  Duration window_;  // effective epoch width (moved by the controller)
   Duration min_cross_latency_ = kTimeMax;  // smallest RegisterCrossLatency
-  std::unique_ptr<EpochController> controller_;  // built lazily, adaptive only
-  ShardProfile prof_;
-  std::vector<WorkerSlot> slots_;  // one per host thread, index = worker
+  Schedule sched_;  // thread 0's: the caller's
+  ShardProfile prof_;  // written by thread 0 only
+  std::vector<Slot> slots_;  // per host thread and parity: see slot()
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<CrossMsg> scratch_;  // reused merge buffer
-  // Buffer PostCross writes; flipped by the barrier thread at each commit.
-  int post_parity_ = 0;
   MergeObserver merge_observer_;
 
-  // Epoch barrier state. target_ and post_parity_ are plain: they are
-  // published by the release bump of epoch_gen_ and read only after the
-  // paired acquire.
-  Time target_ = 0;
-  std::atomic<uint64_t> epoch_gen_{0};
-  std::atomic<int> done_workers_{0};
-  std::atomic<bool> stop_{false};
+  // Region state: plain fields, written by the caller before the barrier
+  // that opens a run call and read by every thread after it.
+  Time region_deadline_ = 0;
+  Time region_gmin_ = kTimeMax;
+  bool stop_ = false;
+  std::atomic<uint64_t> arrived_{0};
   std::vector<std::thread> workers_;
 };
 

@@ -371,32 +371,34 @@ class MultitenantSim {
 
     // Tenants: open-loop arrival processes (Poisson or heavy-tailed, per
     // cfg_.arrival) generated from event context (external clients), one
-    // rescheduling event chain each. The callback carries one shared_ptr,
-    // fitting the loop's inline buffer.
-    struct Tenant {
-      MultitenantSim* sim;
-      Group* g;
-      Rng rng;
-      Time end;
-    };
-    struct TenantGen {
-      std::shared_ptr<Tenant> st;
-      void operator()() const {
-        Tenant& t = *st;
-        Push(*t.g, Request{t.g->core->now(), t.sim->ServiceSample(t.rng)});
-        t.g->core->Signal(&t.g->wq, /*sync=*/false, /*from_cpu=*/t.g->first_cpu);
-        if (t.g->core->now() < t.end) {
-          t.g->core->loop().ScheduleAfter(t.sim->ArrivalGap(t.rng), *this);
-        }
-      }
-    };
+    // rescheduling event chain each.
     for (int i = 0; i < cfg_.tenants_per_group; ++i) {
-      auto st = std::make_shared<Tenant>(
-          Tenant{this, &grp, Rng(seeder.Next()), cfg_.warmup + cfg_.runtime});
-      const Duration first = ArrivalGap(st->rng);
-      grp.core->loop().ScheduleAfter(first, TenantGen{std::move(st)});
+      tenants_.push_back(std::make_unique<Tenant>(
+          Tenant{this, &grp, Rng(seeder.Next()), cfg_.warmup + cfg_.runtime}));
+      Tenant* t = tenants_.back().get();
+      grp.core->loop().ScheduleAfter(ArrivalGap(t->rng), TenantGen{t});
     }
   }
+
+  // One tenant's arrival stream. The sim owns it; its event chain carries a
+  // raw pointer, so an arrival copies one word instead of a shared_ptr's
+  // two refcount updates.
+  struct Tenant {
+    MultitenantSim* sim;
+    Group* g;
+    Rng rng;
+    Time end;
+  };
+  struct TenantGen {
+    Tenant* t;
+    void operator()() const {
+      Push(*t->g, Request{t->g->core->now(), t->sim->ServiceSample(t->rng)});
+      t->g->core->Signal(&t->g->wq, /*sync=*/false, /*from_cpu=*/t->g->first_cpu);
+      if (t->g->core->now() < t->end) {
+        t->g->core->loop().ScheduleAfter(t->sim->ArrivalGap(t->rng), *this);
+      }
+    }
+  };
 
   MultitenantConfig cfg_;
   ShardedEventLoop engine_;
@@ -404,6 +406,7 @@ class MultitenantSim {
   std::vector<std::unique_ptr<CfsClass>> cfs_;
   std::vector<int> policies_;
   std::vector<std::unique_ptr<Group>> groups_;
+  std::vector<std::unique_ptr<Tenant>> tenants_;
 };
 
 inline MultitenantResult RunMultitenant(const MultitenantConfig& cfg) {

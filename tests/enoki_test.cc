@@ -620,6 +620,31 @@ TEST(Replay, RecordFileWithOutOfRangeCpusIsSkippedAndCounted) {
   EXPECT_EQ(result.response_mismatches, 0u);
 }
 
+TEST(Replay, RecordFileNamingCpuEqualToNcpusIsSkippedAndCounted) {
+  // The first CPU a 4-CPU machine lacks is 4: a pick on cpu 4 and a
+  // migration whose arg0 names cpu 4 are out of range, like any larger CPU.
+  const std::string path = ::testing::TempDir() + "/ncpus_cpu_trace.txt";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("1 0 0 1 1 0 0 20 0 0 0 0 0 0 0\n", f);   // task_new pid 1 on cpu 0
+    std::fputs("2 10 0 8 0 4 0 0 0 0 0 1 0 1 0\n", f);   // pick on cpu 4
+    std::fputs("3 20 0 11 1 1 0 4 0 0 0 1 0 1 0\n", f);  // migrate, arg0 cpu 4
+    std::fputs("4 30 0 8 0 3 0 0 0 0 0 1 0 1 0\n", f);   // pick on cpu 3, in range
+    std::fclose(f);
+  }
+  std::vector<RecordEntry> trace;
+  ASSERT_TRUE(Recorder::LoadFromFile(path, &trace));
+  ASSERT_EQ(trace.size(), 4u);
+  ReplayEngine engine(trace, 4);
+  engine.InstallHooks();
+  auto module = std::make_unique<WfqSched>(0);
+  module->Attach(engine.env());
+  const ReplayResult result = engine.Run(module.get());
+  EXPECT_EQ(result.out_of_range_skipped, 2u);
+  EXPECT_EQ(result.calls_replayed, 2u);
+}
+
 TEST(Replay, RecordFileWithBadTypeOrTruncatedLineIsRefused) {
   // RecordType is uint8_t-based: type 257 must not wrap to kTaskNew (1), and
   // type 0 names no record. A last line cut short must not load as a shorter

@@ -714,6 +714,51 @@ TEST(ShardedDeterminism, EpochLeapSkipsIdleSpans) {
   EXPECT_LT(engine.epochs(), 50u);
 }
 
+// A run call ends on a barrier whose commits are due after its deadline.
+// Those messages must be inserted exactly once: pending between the calls
+// (so HasWork and the loops' peeks see them) and fired once, at their time,
+// by the next call, at every thread count and in both epoch modes.
+TEST(ShardedDeterminism, MessageCommittedAtRunEndFiresOnceInNextRun) {
+  constexpr int kShards = 4;
+  constexpr Duration kLatency = 5'000;
+  for (bool adaptive : {false, true}) {
+    for (int threads : {1, 2, 4}) {
+      ShardedEventLoop::Options opts;
+      opts.nshards = kShards;
+      opts.epoch_ns = 1'000;
+      opts.threads = threads;
+      opts.adaptive_epochs = adaptive;
+      ShardedEventLoop engine(opts);
+      engine.RegisterCrossLatency(kLatency);
+      std::vector<std::vector<Time>> fired(kShards);
+      for (int s = 0; s < kShards; ++s) {
+        const int dst = (s + 1) % kShards;
+        // 900 lies in the first call's only (and last) epoch, [0, 1000].
+        engine.shard(s).ScheduleAt(900, [&engine, &fired, s, dst] {
+          engine.PostCross(s, dst, kLatency, [&engine, &fired, dst] {
+            fired[static_cast<size_t>(dst)].push_back(engine.shard(dst).now());
+          });
+        });
+      }
+      engine.RunUntil(1'000);
+      const std::string where =
+          std::string(adaptive ? "adaptive" : "static") + " threads=" + std::to_string(threads);
+      ASSERT_EQ(engine.cross_messages(), static_cast<uint64_t>(kShards)) << where;
+      EXPECT_TRUE(engine.HasWork()) << where;
+      for (int s = 0; s < kShards; ++s) {
+        EXPECT_TRUE(fired[static_cast<size_t>(s)].empty()) << where;
+        EXPECT_EQ(engine.shard(s).PeekTime(), 5'900u) << where;
+      }
+      engine.RunUntil(20'000);
+      for (int s = 0; s < kShards; ++s) {
+        EXPECT_EQ(fired[static_cast<size_t>(s)], std::vector<Time>{5'900}) << where;
+      }
+      EXPECT_FALSE(engine.HasWork()) << where;
+      EXPECT_EQ(engine.now(), 20'000u) << where;
+    }
+  }
+}
+
 // Cross-shard latency below the lookahead bound is a programming error and
 // must be rejected loudly (silently accepting it would break the parallel
 // correctness argument).

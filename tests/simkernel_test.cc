@@ -500,6 +500,34 @@ TEST(SimKernel, AdaptiveShardedDeterminismSweepAcrossSeedsAndThreads) {
   }
 }
 
+// perfbench's mt256_cfs shape, cut short: 8 node shards on 4 host threads
+// with adaptive epochs. Small enough for the thread-sanitizer job, which
+// runs this binary, to cover the engine's barrier and parity buffers at the
+// shard-to-thread ratio the benchmark uses.
+TEST(SimKernel, EightShardsOnFourThreadsAdaptiveMatchesSerial) {
+  MultitenantConfig cfg;
+  cfg.machine = MachineSpec::EightNode256();
+  cfg.nshards = 8;
+  cfg.adaptive_epochs = true;
+  cfg.tenants_per_group = 4;
+  cfg.rate_per_tenant = 20'000.0;
+  cfg.workers_per_group = 8;
+  cfg.remote_fraction = 0.2;
+  cfg.warmup = Microseconds(500);
+  cfg.runtime = Milliseconds(2);
+  cfg.shard_threads = 1;
+  const MultitenantResult serial = RunMultitenant(cfg);
+  ASSERT_GT(serial.cross_messages, 0u);
+  ASSERT_GT(serial.widens, 0u);
+  cfg.shard_threads = 4;
+  const MultitenantResult parallel = RunMultitenant(cfg);
+  EXPECT_EQ(parallel.fingerprint, serial.fingerprint);
+  EXPECT_EQ(parallel.events, serial.events);
+  EXPECT_EQ(parallel.cross_messages, serial.cross_messages);
+  EXPECT_EQ(parallel.epochs, serial.epochs);
+  EXPECT_EQ(parallel.final_window_ns, serial.final_window_ns);
+}
+
 // What one multitenant run computed, read through public accessors only:
 // the counts, the latency percentiles, every shard core's fingerprint and
 // the merge order. Unlike MultitenantResult::fingerprint it leaves out the
@@ -630,6 +658,27 @@ TEST(SimKernel, FingerprintSensitiveToState) {
   cfg.seed = 2;
   const MultitenantResult b = RunMultitenant(cfg);
   EXPECT_NE(a.fingerprint, b.fingerprint);
+}
+
+// A kick of an idle CPU pays the idle-exit latency, plus the IPI when it
+// comes from another CPU. The kick stays pending for exactly that long.
+TEST(SimKernel, KickOfIdleCpuPaysIpiOnlyFromAnotherCpu) {
+  const SimCosts costs;
+  auto kick_latency = [&costs](int from_cpu) {
+    Sim sim(MachineSpec::OneSocket8(), costs);
+    sim.core.set_ticks_enabled(false);
+    sim.core.Start();
+    const Time t0 = Microseconds(1);  // idle since 0: shallow C-state
+    sim.core.RunUntil(t0);
+    sim.core.KickCpu(3, from_cpu);
+    Duration lat = 0;
+    while (sim.core.CpuKickPending(3) && lat < Milliseconds(1)) {
+      sim.core.RunUntil(t0 + ++lat);
+    }
+    return lat;
+  };
+  EXPECT_EQ(kick_latency(/*from_cpu=*/3), costs.shallow_idle_exit_ns);
+  EXPECT_EQ(kick_latency(/*from_cpu=*/5), costs.shallow_idle_exit_ns + costs.ipi_ns);
 }
 
 TEST(SimKernel, KickPendingVisibleDuringIdleExit) {
