@@ -68,10 +68,10 @@ void Run() {
   std::printf("\nScheduler module sizes (paper section 4.2):\n");
   const Row scheds[] = {
       {"Enoki WFQ", CountAll({"sched/wfq.h", "sched/wfq.cc"}), "646 (vs 6247 for CFS)"},
-      {"Enoki Shinjuku", CountAll({"sched/shinjuku.h"}), "285"},
-      {"Locality aware", CountAll({"sched/locality.h"}), "203"},
+      {"Enoki Shinjuku", CountAll({"sched/shinjuku.h", "sched/shinjuku.cc"}), "285"},
+      {"Locality aware", CountAll({"sched/locality.h", "sched/locality.cc"}), "203"},
       {"Arachne core arbiter", CountAll({"sched/arbiter.h"}), "579"},
-      {"Nest-style warm-core (extension)", CountAll({"sched/nest.h"}), "n/a (extension)"},
+      {"Nest-style warm-core (extension)", CountAll({"sched/nest.h", "sched/nest.cc"}), "n/a (extension)"},
       {"Native CFS baseline", CountAll({"sched/cfs.h", "sched/cfs.cc"}), "6247 (Linux CFS)"},
   };
   for (const Row& r : scheds) {

@@ -80,7 +80,7 @@ class CentralSched : public TokenQueueSched<CentralSched, CentralEnt> {
   // Table hooks (src/enoki/token_queue.h). Caller holds lock_.
   // Drops the running marker for pid if it holds one.
   void StopRunning(uint64_t pid, CentralEnt& e);
-  void Enqueued() { ArmPulseLocked(); }
+  void Enqueued(int cpu) { ArmPulseLocked(); }
   void AttachCpus(int ncpus) { running_pid_.assign(static_cast<size_t>(ncpus), 0); }
   void SaveTransfer(Transfer& t);
   void LoadTransfer(Transfer& t);

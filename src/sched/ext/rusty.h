@@ -97,7 +97,7 @@ class RustySched : public TokenQueueSched<RustySched, RustyEnt> {
   // Moves the task's load into the domain of `cpu`, then takes the next
   // arrival sequence.
   void Place(const TaskMessage& msg, RustyEnt& e, int cpu, Arrival why);
-  void Leave(RustyEnt& e) { SubLoadLocked(e); }
+  void Leave(uint64_t pid, RustyEnt& e) { SubLoadLocked(e); }
   void Migrate(const MigrateMessage& msg, RustyEnt& e);
   // Builds domain structures from the environment's topology.
   void AttachCpus(int ncpus);
