@@ -44,18 +44,21 @@ class ReplayEnv : public EnokiKernelEnv {
  public:
   explicit ReplayEnv(int ncpus) : ncpus_(ncpus) {}
 
-  Time Now() const override { return now_.load(std::memory_order_relaxed); }
+  // On a replay thread, the recorded time of the call it replays: calls run
+  // concurrently, one thread each, so a shared clock would let a callback
+  // read a later call's time. Elsewhere, the time last given to SetNow.
+  Time Now() const override;
   int NumCpus() const override { return ncpus_; }
   int NodeOf(int cpu) const override { return 0; }
   void ArmTimer(int cpu, Duration delay) override {}   // timers appear as recorded calls
   void ReschedCpu(int cpu) override {}
   void PushRevHint(int queue_id, const HintBlob& hint) override {}
 
-  void SetNow(Time t) { now_.store(t, std::memory_order_relaxed); }
+  void SetNow(Time t) { now_ = t; }
 
  private:
   const int ncpus_;
-  std::atomic<Time> now_{0};
+  Time now_ = 0;
 };
 
 class ReplayEngine {
