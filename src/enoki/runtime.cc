@@ -28,75 +28,26 @@ void EnokiRuntime::Attach(SchedCore* core) {
   module_->Attach(this);
 }
 
-TaskMessage EnokiRuntime::MakeMsg(const Task* t, int cpu, bool wake_sync) const {
-  return TaskMessage{.pid = t->pid(),
-                     .cpu = cpu,
-                     .prev_cpu = t->cpu(),
-                     .runtime = core_->TaskRuntime(t),
-                     .nice = t->nice(),
-                     .wake_sync = wake_sync};
-}
-
-Schedulable EnokiRuntime::Mint(Task* t, int cpu) {
-  // Bumping the generation invalidates every token previously minted for
-  // this task: the scheduler must use the newest proof.
-  ++t->token_generation_;
-  return SchedulableMinter::Mint(t->pid(), cpu, t->token_generation_);
-}
-
-bool EnokiRuntime::ValidateForRun(const Schedulable& s, int cpu, Task** out_task) const {
-  Task* t = s.valid() ? core_->FindTask(s.pid()) : nullptr;
-  if (t == nullptr || t->state() != TaskState::kRunnable || s.cpu() != cpu || t->cpu() != cpu ||
-      SchedulableMinter::Generation(s) != t->token_generation_ || !queued_[cpu].contains(s.pid())) {
-    return false;
-  }
-  *out_task = t;
-  return true;
-}
-
-void EnokiRuntime::Charge(int cpu) {
-  ++module_calls_;
-  Duration cost = core_->costs().enoki_call_ns;
-  if (recorder_ != nullptr) {
-    cost += core_->costs().enoki_record_ns;
-  }
-  core_->ChargeCpu(cpu, cost);
-}
-
-EnokiRuntime::CallRecord EnokiRuntime::Entry(RecordType type, int cpu, uint64_t pid,
-                                             Duration runtime) {
-  CallRecord e;
-  e.type = type;
-  e.cpu = cpu;
-  e.pid = pid;
-  e.runtime = runtime;
-  return e;
-}
-
-void EnokiRuntime::Record(const CallRecord& call) {
-  // The flight ring is always on: it is what lets a CrashReport carry the
-  // module's last calls even when full recording is disabled.
-  flight_.Append(core_->now(), call.type, call.cpu, call.pid, call.resp0);
-  if (recorder_ != nullptr) {
-    RecordEntry e;
-    e.type = call.type;
-    e.pid = call.pid;
-    e.cpu = call.cpu;
-    e.runtime = call.runtime;
-    std::copy(std::begin(call.arg), std::end(call.arg), e.arg);
-    e.resp0 = call.resp0;
-    e.has_resp = call.has_resp;
-    e.flag = call.flag;
-    recorder_->SetTime(core_->now());
-    recorder_->Append(e);
-  }
+void EnokiRuntime::AppendToRecorder(const CallRecord& call) {
+  RecordEntry e;
+  e.type = call.type;
+  e.pid = call.pid;
+  e.cpu = call.cpu;
+  e.runtime = call.runtime;
+  std::copy(std::begin(call.arg), std::end(call.arg), e.arg);
+  e.resp0 = call.resp0;
+  e.has_resp = call.has_resp;
+  e.flag = call.flag;
+  recorder_->SetTime(core_->now());
+  recorder_->Append(e);
 }
 
 // ---- The call path into the module ----
 
 template <typename Fn>
-bool EnokiRuntime::Notify(int cpu, const CallRecord* e, const char* site, Fn&& fn,
-                          bool probation_call) {
+[[gnu::always_inline]] inline bool EnokiRuntime::Notify(int cpu, const CallRecord* e,
+                                                        const char* site, Fn&& fn,
+                                                        bool probation_call) {
   if (cpu >= 0) {
     Charge(cpu);
   }
@@ -117,7 +68,8 @@ bool EnokiRuntime::Notify(int cpu, const CallRecord* e, const char* site, Fn&& f
 }
 
 template <typename Fn>
-bool EnokiRuntime::Query(int cpu, CallRecord e, const char* site, Fn&& fn) {
+[[gnu::always_inline]] inline bool EnokiRuntime::Query(int cpu, CallRecord e, const char* site,
+                                                       Fn&& fn) {
   if (!Notify(cpu, nullptr, site, [&] { e.resp0 = fn(); })) {
     return false;
   }
@@ -126,8 +78,10 @@ bool EnokiRuntime::Query(int cpu, CallRecord e, const char* site, Fn&& fn) {
   return true;
 }
 
-void EnokiRuntime::HandToken(Task* t, CallRecord* e, TokenCall call, const char* site,
-                             bool probation_call) {
+// Forced inline like Notify and Query: each callback then compiles into one
+// straight-line path, at the cost of five copies of this one.
+[[gnu::always_inline]] inline void EnokiRuntime::HandToken(Task* t, CallRecord* e, TokenCall call,
+                                                           const char* site, bool probation_call) {
   const int cpu = e->cpu;
   SetCurrentKthread(cpu);
   const TaskMessage msg = MakeMsg(t, cpu);
@@ -151,26 +105,17 @@ void EnokiRuntime::HandleEscape(const char* site, const char* what) {
   }
 }
 
-void EnokiRuntime::FinishCall(const char* site, bool probation_call) {
-  const Duration busy = callback_busy_ns_;
-  callback_busy_ns_ = 0;
-  if (watchdog_ == nullptr || quarantined()) {
-    return;
-  }
-  const Duration lat = core_->costs().enoki_call_ns + busy;
-  if (watchdog_->OnCallbackLatency(lat) != TripReason::kNone) {
-    TripWatchdog(TripReason::kCallbackBudget,
-                 std::string(site) + " consumed " + std::to_string(lat) + "ns (budget " +
-                     std::to_string(watchdog_->effective_callback_budget()) + "ns)");
-    return;
-  }
-  // Probation bookkeeping: the window also closes after surviving N calls.
-  if (probation_call && in_probation()) {
-    ++probation_calls_seen_;
-    const uint64_t limit = watchdog_->probation().window_calls;
-    if (limit > 0 && probation_calls_seen_ >= limit) {
-      CommitProbation();
-    }
+void EnokiRuntime::TripCallbackBudget(const char* site, Duration lat) {
+  TripWatchdog(TripReason::kCallbackBudget,
+               std::string(site) + " consumed " + std::to_string(lat) + "ns (budget " +
+                   std::to_string(watchdog_->effective_callback_budget()) + "ns)");
+}
+
+void EnokiRuntime::CountProbationCall() {
+  ++probation_calls_seen_;
+  const uint64_t limit = watchdog_->probation().window_calls;
+  if (limit > 0 && probation_calls_seen_ >= limit) {
+    CommitProbation();
   }
 }
 
@@ -625,7 +570,7 @@ void EnokiRuntime::OnTaskStarved(Task* t, Duration runnable_ns) {
   }
 }
 
-bool EnokiRuntime::DrainHints() {
+void EnokiRuntime::DrainHintQueues() {
   for (const auto& queue : user_queues_) {
     std::optional<HintBlob> hint;
     while (!ModuleOffline() && (hint = queue->Pop()).has_value()) {
@@ -634,7 +579,6 @@ bool EnokiRuntime::DrainHints() {
       Notify(-1, &e, "parse_hint", [&] { module_->ParseHint(*hint); });
     }
   }
-  return !ModuleOffline();
 }
 
 int EnokiRuntime::SelectTaskRq(Task* t, int prev_cpu, bool wake_sync, bool is_new) {

@@ -203,13 +203,50 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   uint64_t last_restore_depth() const { return last_restore_depth_; }
   Duration last_restore_age_ns() const { return last_restore_age_ns_; }
   size_t QueuedCount(int cpu) const { return queued_[cpu].size(); }
+  const FlightRecorder& flight_recorder() const { return flight_; }
 
  private:
-  TaskMessage MakeMsg(const Task* t, int cpu, bool wake_sync = false) const;
-  Schedulable Mint(Task* t, int cpu);
+  // ---- The per-call bookkeeping ----
+  // Every module call runs these, so they are defined here and forced
+  // inline (GCC's heuristics keep Record and FinishCall out of line for
+  // their many call sites). Each Notify/Query instantiation is then one
+  // straight-line path. What runs only on a rare path (an attached Recorder,
+  // a trip, hint traffic, a probation window) sits behind an [[unlikely]]
+  // test in an out-of-line function in runtime.cc.
+
+  [[gnu::always_inline]] TaskMessage MakeMsg(const Task* t, int cpu, bool wake_sync = false) const {
+    return TaskMessage{.pid = t->pid(),
+                       .cpu = cpu,
+                       .prev_cpu = t->cpu(),
+                       .runtime = core_->TaskRuntime(t),
+                       .nice = t->nice(),
+                       .wake_sync = wake_sync};
+  }
+  [[gnu::always_inline]] Schedulable Mint(Task* t, int cpu) {
+    // Bumping the generation invalidates every token previously minted for
+    // this task: the scheduler must use the newest proof.
+    ++t->token_generation_;
+    return SchedulableMinter::Mint(t->pid(), cpu, t->token_generation_);
+  }
   // Validates a token a module returned for running on `cpu`.
-  bool ValidateForRun(const Schedulable& s, int cpu, Task** out_task) const;
-  void Charge(int cpu);
+  [[gnu::always_inline]] bool ValidateForRun(const Schedulable& s, int cpu, Task** out_task) const {
+    Task* t = s.valid() ? core_->FindTask(s.pid()) : nullptr;
+    if (t == nullptr || t->state() != TaskState::kRunnable || s.cpu() != cpu ||
+        t->cpu() != cpu || SchedulableMinter::Generation(s) != t->token_generation_ ||
+        !queued_[cpu].contains(s.pid())) {
+      return false;
+    }
+    *out_task = t;
+    return true;
+  }
+  [[gnu::always_inline]] void Charge(int cpu) {
+    ++module_calls_;
+    Duration cost = core_->costs().enoki_call_ns;
+    if (recorder_ != nullptr) {
+      cost += core_->costs().enoki_record_ns;
+    }
+    core_->ChargeCpu(cpu, cost);
+  }
   // What the runtime records of one module call or lifecycle event: a
   // RecordEntry less the stamps its sinks add (seq, time, kthread) and the
   // resp1 no call sets. It is built on every call; at 64 bytes GCC fills it
@@ -227,13 +264,56 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
     uint64_t resp0 = 0;
   };
   static_assert(sizeof(CallRecord) == 64);
-  static CallRecord Entry(RecordType type, int cpu = -1, uint64_t pid = 0, Duration runtime = 0);
+  [[gnu::always_inline]] static CallRecord Entry(RecordType type, int cpu = -1, uint64_t pid = 0,
+                                                 Duration runtime = 0) {
+    CallRecord e;
+    e.type = type;
+    e.cpu = cpu;
+    e.pid = pid;
+    e.runtime = runtime;
+    return e;
+  }
   // Appends `call` to the flight ring and, when one is attached, the
-  // Recorder.
-  void Record(const CallRecord& call);
+  // Recorder. The flight ring is always on: it is what lets a CrashReport
+  // carry the module's last calls even when full recording is disabled.
+  [[gnu::always_inline]] void Record(const CallRecord& call) {
+    flight_.Append(core_->now(), call.type, call.cpu, call.pid, call.resp0);
+    if (recorder_ != nullptr) [[unlikely]] {
+      AppendToRecorder(call);
+    }
+  }
+  // Widens `call` into a RecordEntry stamped with the current time.
+  void AppendToRecorder(const CallRecord& call);
   // Feeds queued user hints to the module; false when the module is (or
   // went) offline.
-  bool DrainHints();
+  [[gnu::always_inline]] bool DrainHints() {
+    if (!user_queues_.empty()) [[unlikely]] {
+      DrainHintQueues();
+    }
+    return !ModuleOffline();
+  }
+  void DrainHintQueues();
+  // A normal return from a callback: folds the module's BusyWait into the
+  // call's latency and, with a watchdog armed, checks it against the budget
+  // and counts the call toward an open probation window.
+  [[gnu::always_inline]] void FinishCall(const char* site, bool probation_call) {
+    const Duration busy = callback_busy_ns_;
+    callback_busy_ns_ = 0;
+    if (watchdog_ == nullptr || quarantined()) {
+      return;
+    }
+    const Duration lat = core_->costs().enoki_call_ns + busy;
+    if (watchdog_->OnCallbackLatency(lat) != TripReason::kNone) [[unlikely]] {
+      TripCallbackBudget(site, lat);
+      return;
+    }
+    if (probation_call && in_probation()) [[unlikely]] {
+      CountProbationCall();
+    }
+  }
+  [[gnu::cold]] void TripCallbackBudget(const char* site, Duration lat);
+  // The probation window also closes after surviving N calls.
+  void CountProbationCall();
   // TaskPreempted / TaskYielded: the running task goes back on the queue.
   // False when the module is offline and must not hear of it.
   bool Requeue(int cpu, Task* t);
@@ -260,7 +340,6 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   // Must be called from a catch block: counts the escape and either
   // rethrows (no watchdog) or reports it, possibly tripping.
   void HandleEscape(const char* site, const char* what);
-  void FinishCall(const char* site, bool probation_call);
   // The ladder's only entry point: snapshots the CrashReport and picks the
   // next rung from state_ (upgrade probation rolls back, a supervised module
   // restarts after backoff, anything else quarantines), deferring the module

@@ -27,6 +27,12 @@ const char* TripReasonName(TripReason reason) {
   return "unknown";
 }
 
+void Watchdog::StartLatencyRun(Duration ns) {
+  FlushLatencyRun();
+  latency_run_value_ = ns;
+  latency_run_count_ = 1;
+}
+
 CrashReport Watchdog::BuildReport(TripReason reason, std::string detail, Time now) {
   FlushLatencyRun();
   CrashReport report;

@@ -152,14 +152,13 @@ class Watchdog {
   // calls repeat the previous call's latency (the fixed per-call cost), so
   // the histogram takes them as runs: a run is flushed into it when the
   // value changes or when BuildReport reads it. The budget check still sees
-  // every call.
-  TripReason OnCallbackLatency(Duration ns) {
-    if (ns == latency_run_value_) {
+  // every call. The runtime calls this after every callback, so it is forced
+  // inline; a new run goes out of line.
+  [[gnu::always_inline]] TripReason OnCallbackLatency(Duration ns) {
+    if (ns == latency_run_value_) [[likely]] {
       ++latency_run_count_;
     } else {
-      FlushLatencyRun();
-      latency_run_value_ = ns;
-      latency_run_count_ = 1;
+      StartLatencyRun(ns);
     }
     return ns > callback_budget_ ? TripReason::kCallbackBudget : TripReason::kNone;
   }
@@ -248,6 +247,8 @@ class Watchdog {
     callback_latency_.Record(latency_run_value_, latency_run_count_);
     latency_run_count_ = 0;
   }
+  // Flushes the current run and opens one of `ns`.
+  void StartLatencyRun(Duration ns);
 
   const WatchdogConfig config_;
   Duration callback_budget_ = config_.callback_budget_ns;

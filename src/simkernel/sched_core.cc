@@ -115,24 +115,6 @@ Task* SchedCore::CreateTaskOn(std::string name, std::unique_ptr<TaskBody> body, 
   return t;
 }
 
-Task* SchedCore::FindTask(uint64_t pid) const {
-  // Pids are assigned densely from 1 and tasks are never destroyed before
-  // the core, so the task vector doubles as the pid table.
-  if (pid == 0 || pid > tasks_.size()) {
-    return nullptr;
-  }
-  return tasks_[pid - 1].get();
-}
-
-void SchedCore::WakeTaskExternal(Task* t, bool sync, int from_cpu) {
-  ENOKI_CHECK(t->state_ == TaskState::kBlocked);
-  if (t->sleep_event_ != kInvalidEventId) {
-    loop_->Cancel(t->sleep_event_);
-    t->sleep_event_ = kInvalidEventId;
-  }
-  WakeTaskInternal(t, sync, from_cpu, /*is_new=*/false);
-}
-
 void SchedCore::WakeTaskInternal(Task* t, bool sync, int from_cpu, bool is_new) {
   ENOKI_CHECK(t->state_ == TaskState::kBlocked || t->state_ == TaskState::kCreated);
   t->state_ = TaskState::kRunnable;
@@ -247,14 +229,6 @@ EventId SchedCore::ArmClassTimer(int cpu, Duration delay, SchedClass* cls) {
       PreemptCurrent(cpu);
     }
   });
-}
-
-Duration SchedCore::TaskRuntime(const Task* t) const {
-  Duration rt = t->total_runtime_;
-  if (t->state_ == TaskState::kRunning) {
-    rt += loop_->now() - t->run_segment_start_;
-  }
-  return rt;
 }
 
 Duration SchedCore::IdleExitCost(int cpu) const {

@@ -180,9 +180,6 @@ class SchedCore {
   Task* CreateTaskOn(std::string name, std::unique_ptr<TaskBody> body, int policy, int nice,
                      const CpuMask& affinity);
 
-  // Wakes a blocked task from outside the action system (timers, agents).
-  void WakeTaskExternal(Task* t, bool sync = false, int from_cpu = -1);
-
   // Signals a wait queue from kernel/event context (wakes one waiter or
   // leaves a pending signal), mirroring a task's Action::Wake.
   void Signal(WaitQueue* wq, bool sync = false, int from_cpu = -1) {
@@ -197,7 +194,11 @@ class SchedCore {
   // Schedulable token); the new class receives the task as new.
   void SetTaskPolicy(Task* t, int policy);
 
-  Task* FindTask(uint64_t pid) const;
+  Task* FindTask(uint64_t pid) const {
+    // Pids are assigned densely from 1 and tasks are never destroyed before
+    // the core, so the task vector doubles as the pid table.
+    return pid == 0 || pid > tasks_.size() ? nullptr : tasks_[pid - 1].get();
+  }
 
   // ---- Services for SchedClass implementations ----
 
@@ -217,7 +218,11 @@ class SchedCore {
   void CancelClassTimer(EventId id) { loop_->Cancel(id); }
 
   // Runtime of a task including its in-progress on-CPU segment.
-  Duration TaskRuntime(const Task* t) const;
+  Duration TaskRuntime(const Task* t) const {
+    return t->state_ == TaskState::kRunning
+               ? t->total_runtime_ + (loop_->now() - t->run_segment_start_)
+               : t->total_runtime_;
+  }
 
   // Records that a class moved a queued (runnable, not running) task to
   // another CPU's queue. The class is responsible for its own queue state;

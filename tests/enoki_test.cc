@@ -544,6 +544,47 @@ TEST(Record, CapturesCallsAndLocks) {
   }
 }
 
+// Record feeds two sinks: the flight ring, appended inline on every call,
+// and an attached Recorder, fed by an out-of-line widening. Both must see
+// the same calls in the same order, each stamped alike.
+TEST(Record, FlightRingTailMatchesRecorderLog) {
+  Recorder recorder(1 << 20);
+  SetLockHooks(&recorder);
+  SchedCore core(MachineSpec::OneSocket8(), SimCosts{});
+  EnokiRuntime runtime(std::make_unique<WfqSched>(0));
+  runtime.SetRecorder(&recorder);
+  CfsClass cfs;
+  const int policy = core.RegisterClass(&runtime);
+  core.RegisterClass(&cfs);
+  PipeBenchConfig cfg;
+  cfg.messages = 200;
+  EXPECT_TRUE(RunPipeBench(core, policy, cfg).completed);
+  SetLockHooks(nullptr);
+  recorder.Drain();
+  std::vector<RecordEntry> calls;
+  for (const RecordEntry& e : recorder.log()) {
+    if (e.type != RecordType::kLockCreate && e.type != RecordType::kLockAcquire &&
+        e.type != RecordType::kLockRelease) {
+      calls.push_back(e);
+    }
+  }
+  const FlightRecorder& flight = runtime.flight_recorder();
+  EXPECT_EQ(flight.appended(), calls.size());
+  const std::vector<RecordEntry> tail = flight.Tail(flight.capacity());
+  ASSERT_EQ(tail.size(), flight.capacity());
+  ASSERT_GE(calls.size(), tail.size());
+  const size_t base = calls.size() - tail.size();
+  for (size_t i = 0; i < tail.size(); ++i) {
+    const RecordEntry& want = calls[base + i];
+    EXPECT_EQ(tail[i].time, want.time) << i;
+    EXPECT_EQ(tail[i].type, want.type) << i;
+    EXPECT_EQ(tail[i].pid, want.pid) << i;
+    EXPECT_EQ(tail[i].cpu, want.cpu) << i;
+    EXPECT_EQ(tail[i].resp0, want.resp0) << i;
+    EXPECT_EQ(tail[i].kthread, want.kthread) << i;
+  }
+}
+
 TEST(Record, FileRoundTrip) {
   auto log = RecordPipeRun(50);
   Recorder recorder(1024);
