@@ -544,7 +544,7 @@ struct ArbiterSim {
       : core(MachineSpec::OneSocket8(), SimCosts{}),
         runtime(std::make_unique<ArbiterSched>(0, 1, 7)) {
     policy = core.RegisterClass(&runtime);
-    core.RegisterClass(&cfs);
+    cfs_policy = core.RegisterClass(&cfs);
     hint_q = runtime.CreateHintQueue(256);
     rev_q = runtime.CreateRevQueue(256);
   }
@@ -553,8 +553,21 @@ struct ArbiterSim {
   EnokiRuntime runtime;
   CfsClass cfs;
   int policy = 0;
+  int cfs_policy = 0;
   int hint_q = 0;
   int rev_q = 0;
+
+  // Binds activation `pid` to app 1.
+  void Bind(uint64_t pid) { Send(ArbiterSched::kBindActivation, pid); }
+  // App 1 asks for `cores` cores.
+  void Request(uint64_t cores) { Send(ArbiterSched::kReqCores, cores); }
+  void Send(uint64_t op, uint64_t arg) {
+    HintBlob h;
+    h.w[0] = op;
+    h.w[1] = 1;
+    h.w[2] = arg;
+    runtime.SendHint(hint_q, h);
+  }
 };
 
 TEST(Arbiter, GrantsRequestedCores) {
@@ -567,17 +580,9 @@ TEST(Arbiter, GrantsRequestedCores) {
                                          return Action::Compute(Microseconds(100));
                                        }),
                                        sim.policy));
-    HintBlob bind;
-    bind.w[0] = ArbiterSched::kBindActivation;
-    bind.w[1] = 1;
-    bind.w[2] = acts.back()->pid();
-    sim.runtime.SendHint(sim.hint_q, bind);
+    sim.Bind(acts.back()->pid());
   }
-  HintBlob req;
-  req.w[0] = ArbiterSched::kReqCores;
-  req.w[1] = 1;
-  req.w[2] = 2;
-  sim.runtime.SendHint(sim.hint_q, req);
+  sim.Request(2);
   sim.core.Start();
   sim.core.RunFor(Milliseconds(10));
   EXPECT_EQ(sim.module()->granted_cores(1), 2u);
@@ -604,28 +609,100 @@ TEST(Arbiter, ReclaimReleasesOnBlock) {
                                     return Action::Compute(Microseconds(100));
                                   }),
                                   sim.policy);
-  HintBlob bind;
-  bind.w[0] = ArbiterSched::kBindActivation;
-  bind.w[1] = 1;
-  bind.w[2] = act->pid();
-  sim.runtime.SendHint(sim.hint_q, bind);
-  HintBlob req;
-  req.w[0] = ArbiterSched::kReqCores;
-  req.w[1] = 1;
-  req.w[2] = 1;
-  sim.runtime.SendHint(sim.hint_q, req);
+  sim.Bind(act->pid());
+  sim.Request(1);
   sim.core.Start();
   sim.core.RunFor(Milliseconds(5));
   EXPECT_EQ(sim.module()->granted_cores(1), 1u);
 
   // Now request zero cores; the arbiter asks for the core back; the
   // activation parks at its next check; the core returns to the free pool.
-  req.w[2] = 0;
-  sim.runtime.SendHint(sim.hint_q, req);
+  sim.Request(0);
   sim.core.loop().ScheduleAfter(Milliseconds(2), [&] { *should_park = true; });
   sim.core.RunFor(Milliseconds(10));
   EXPECT_EQ(sim.module()->granted_cores(1), 0u);
   EXPECT_EQ(sim.module()->free_cores(), 7u);
+}
+
+TEST(Arbiter, DepartedQueuedActivationReturnsItsTokenOnce) {
+  ArbiterSim sim;
+  Recorder recorder(1024);
+  sim.runtime.SetRecorder(&recorder);
+  // Bound but never granted a core: the activation waits queued, unpicked,
+  // and the arbiter holds its token.
+  Task* act = sim.core.CreateTask(
+      "act", std::make_unique<CpuBoundBody>(Milliseconds(1), Microseconds(100)), sim.policy);
+  sim.Bind(act->pid());
+  sim.core.Start();
+  sim.core.RunFor(Milliseconds(1));
+  ASSERT_EQ(act->state(), TaskState::kRunnable);
+  EXPECT_EQ(sim.runtime.QueuedCount(act->cpu()), 1u);
+
+  sim.core.SetTaskPolicy(act, sim.cfs_policy);
+  recorder.Drain();
+  int departures = 0;
+  for (const RecordEntry& e : recorder.log()) {
+    if (e.type == RecordType::kTaskDeparted) {
+      ++departures;
+      EXPECT_EQ(e.resp0, act->pid());  // the token handed back names the task
+    }
+  }
+  EXPECT_EQ(departures, 1);
+  // The token went back once: a second departure finds nothing to return.
+  EXPECT_FALSE(sim.module()->TaskDeparted(TaskMessage{.pid = act->pid()}).has_value());
+  EXPECT_TRUE(sim.core.RunUntilAllExit(Milliseconds(20)));
+  EXPECT_EQ(sim.core.pick_errors(), 0u);
+}
+
+TEST(Arbiter, DeadActivationLeavesNoGrant) {
+  ArbiterSim sim;
+  Task* brief = sim.core.CreateTask(
+      "brief", std::make_unique<CpuBoundBody>(Microseconds(500), Microseconds(100)), sim.policy);
+  Task* steady = sim.core.CreateTask(
+      "steady", std::make_unique<CpuBoundBody>(Milliseconds(50), Microseconds(100)), sim.policy);
+  sim.Bind(brief->pid());
+  sim.Bind(steady->pid());
+  sim.Request(2);
+  sim.core.Start();
+  sim.core.RunFor(Microseconds(200));
+  EXPECT_EQ(sim.module()->granted_cores(1), 2u);
+  sim.core.RunFor(Milliseconds(5));
+  ASSERT_EQ(brief->state(), TaskState::kDead);
+  // The dead activation's core went back to the pool, and asking again
+  // cannot grant a core to the dead pid.
+  EXPECT_EQ(sim.module()->granted_cores(1), 1u);
+  EXPECT_EQ(sim.module()->free_cores(), 6u);
+  sim.Request(2);
+  sim.core.RunFor(Milliseconds(1));
+  EXPECT_EQ(sim.module()->granted_cores(1), 1u);
+  EXPECT_EQ(sim.module()->free_cores(), 6u);
+  EXPECT_EQ(sim.core.pick_errors(), 0u);
+}
+
+TEST(Arbiter, BalanceErrRekicksTheGrantedCoreUntilThePullSucceeds) {
+  ArbiterSim sim;
+  // The activation may only run on CPU 2 but is granted core 1, so every
+  // pull core 1's balance offers is refused. Each refusal reaches BalanceErr,
+  // which kicks core 1 again; once the affinity allows core 1 the next retry
+  // migrates the activation there.
+  const CpuMask only2 = CpuMask::Single(2);
+  Task* act = sim.core.CreateTaskOn(
+      "act", std::make_unique<CpuBoundBody>(Milliseconds(2), Microseconds(100)), sim.policy, 0,
+      only2);
+  sim.Bind(act->pid());
+  sim.Request(1);
+  sim.core.Start();
+  sim.core.RunFor(Milliseconds(1));
+  EXPECT_EQ(act->state(), TaskState::kRunnable);
+  EXPECT_EQ(act->cpu(), 2);
+  const uint64_t refused = sim.runtime.balance_errors();
+  EXPECT_GT(refused, 1u);  // the first refusal was retried
+  CpuMask both = only2;
+  both.Set(1);
+  sim.core.SetTaskAffinity(act, both);
+  EXPECT_TRUE(sim.core.RunUntilAllExit(Milliseconds(10)));
+  EXPECT_EQ(act->cpu(), 1);
+  EXPECT_LE(sim.runtime.balance_errors(), refused + 1);
 }
 
 // ---- ghOSt ----

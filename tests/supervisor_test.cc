@@ -615,8 +615,8 @@ TEST(LadderStateWalk, EveryStateReachedThroughThePublicApi) {
   std::vector<Task*> tasks;
   for (int i = 0; i < 8; ++i) {
     tasks.push_back(s.core->CreateTask(
-        "w" + std::to_string(i), std::make_unique<CpuBoundBody>(Milliseconds(8), Microseconds(50)),
-        s.enoki_policy));
+        std::string("w").append(std::to_string(i)),
+        std::make_unique<CpuBoundBody>(Milliseconds(8), Microseconds(50)), s.enoki_policy));
   }
   s.core->loop().ScheduleAfter(0, LadderSampler{&walk, s.core.get()});
   // Runs the simulation for `d` (0 = stay at this instant, before any
