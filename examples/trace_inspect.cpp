@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/enoki/call_codec.h"
 #include "src/enoki/record.h"
 #include "src/enoki/runtime.h"
 #include "src/sched/cfs.h"

@@ -4,67 +4,9 @@
 #include <cstdio>
 #include <fstream>
 
-namespace enoki {
+#include "src/enoki/call_codec.h"
 
-const char* RecordTypeName(RecordType type) {
-  switch (type) {
-    case RecordType::kTaskNew:
-      return "task_new";
-    case RecordType::kTaskWakeup:
-      return "task_wakeup";
-    case RecordType::kTaskBlocked:
-      return "task_blocked";
-    case RecordType::kTaskPreempt:
-      return "task_preempt";
-    case RecordType::kTaskYield:
-      return "task_yield";
-    case RecordType::kTaskDead:
-      return "task_dead";
-    case RecordType::kTaskDeparted:
-      return "task_departed";
-    case RecordType::kPickNextTask:
-      return "pick_next_task";
-    case RecordType::kPntErr:
-      return "pnt_err";
-    case RecordType::kSelectTaskRq:
-      return "select_task_rq";
-    case RecordType::kMigrateTaskRq:
-      return "migrate_task_rq";
-    case RecordType::kBalance:
-      return "balance";
-    case RecordType::kBalanceErr:
-      return "balance_err";
-    case RecordType::kTaskTick:
-      return "task_tick";
-    case RecordType::kTimerFired:
-      return "timer_fired";
-    case RecordType::kParseHint:
-      return "parse_hint";
-    case RecordType::kAffinityChanged:
-      return "affinity_changed";
-    case RecordType::kPrioChanged:
-      return "prio_changed";
-    case RecordType::kLockCreate:
-      return "lock_create";
-    case RecordType::kLockAcquire:
-      return "lock_acquire";
-    case RecordType::kLockRelease:
-      return "lock_release";
-    case RecordType::kUpgrade:
-      return "upgrade";
-    case RecordType::kUpgradeRollback:
-      return "upgrade_rollback";
-    case RecordType::kModuleRestart:
-      return "module_restart";
-    case RecordType::kShardMerge:
-      return "shard_merge";
-    case RecordType::kCheckpointSave:
-      return "checkpoint_save";
-    case RecordType::kCheckpointRestore:
-      return "checkpoint_restore";
-  }
-  return "unknown";
-}
+namespace enoki {
 
 std::vector<RecordEntry> FlightRecorder::Tail(size_t max_entries) const {
   const uint64_t stored = seq_ < ring_.size() ? seq_ : ring_.size();
@@ -97,24 +39,15 @@ void Recorder::Append(RecordEntry entry) {
 }
 
 void Recorder::OnLockCreate(uint64_t lock_id) {
-  RecordEntry e;
-  e.type = RecordType::kLockCreate;
-  e.arg[0] = lock_id;
-  Append(e);
+  Append(EncodeLock<RecordEntry>(RecordType::kLockCreate, lock_id));
 }
 
 void Recorder::OnLockAcquire(uint64_t lock_id) {
-  RecordEntry e;
-  e.type = RecordType::kLockAcquire;
-  e.arg[0] = lock_id;
-  Append(e);
+  Append(EncodeLock<RecordEntry>(RecordType::kLockAcquire, lock_id));
 }
 
 void Recorder::OnLockRelease(uint64_t lock_id) {
-  RecordEntry e;
-  e.type = RecordType::kLockRelease;
-  e.arg[0] = lock_id;
-  Append(e);
+  Append(EncodeLock<RecordEntry>(RecordType::kLockRelease, lock_id));
 }
 
 size_t Recorder::Drain() {
@@ -169,8 +102,7 @@ bool Recorder::LoadFromFile(const std::string& path, std::vector<RecordEntry>* o
                     &e.arg[0], &e.arg[1], &e.arg[2], &e.arg[3], &e.resp0, &e.resp1,
                     &has_resp, &flag, &end) == 15 &&
         static_cast<size_t>(end) == line.size();
-    if (!parsed || type < static_cast<unsigned>(RecordType::kTaskNew) ||
-        type > static_cast<unsigned>(RecordType::kCheckpointRestore)) {
+    if (!parsed || !IsRecordType(type)) {
       out->clear();
       return false;
     }

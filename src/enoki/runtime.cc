@@ -11,12 +11,6 @@
 
 namespace enoki {
 
-namespace {
-
-uint64_t NiceArg(const Task* t) { return static_cast<uint64_t>(t->nice() - kMinNice); }
-
-}  // namespace
-
 EnokiRuntime::EnokiRuntime(std::unique_ptr<EnokiSched> module) : module_(std::move(module)) {
   ENOKI_CHECK(module_ != nullptr);
 }
@@ -80,15 +74,14 @@ template <typename Fn>
 
 // Forced inline like Notify and Query: each callback then compiles into one
 // straight-line path, at the cost of five copies of this one.
-[[gnu::always_inline]] inline void EnokiRuntime::HandToken(Task* t, CallRecord* e, TokenCall call,
-                                                           const char* site, bool probation_call) {
-  const int cpu = e->cpu;
+[[gnu::always_inline]] inline void EnokiRuntime::HandToken(Task* t, int cpu, RecordType type,
+                                                           TokenCall call, const char* site,
+                                                           bool probation_call) {
   SetCurrentKthread(cpu);
   const TaskMessage msg = MakeMsg(t, cpu);
-  e->pid = t->pid();
-  e->runtime = msg.runtime;
+  const CallRecord e = EncodeTask<CallRecord>(type, msg);
   Notify(
-      cpu, e, site, [&] { (module_.get()->*call)(msg, Mint(t, cpu)); }, probation_call);
+      cpu, &e, site, [&] { (module_.get()->*call)(msg, Mint(t, cpu)); }, probation_call);
 }
 
 // ---- Fault containment ----
@@ -302,7 +295,7 @@ bool EnokiRuntime::CheckpointNow() {
     return false;
   }
   core_->ChargeCpu(0, core_->costs().checkpoint_save_ns);
-  CallRecord e = Entry(RecordType::kCheckpointSave);
+  CallRecord e{.type = RecordType::kCheckpointSave};
   e.arg[0] = ck.sequence;
   e.arg[1] = static_cast<uint64_t>(ck.taken_at);
   e.arg[2] = ck.bytes.size();
@@ -421,7 +414,7 @@ bool EnokiRuntime::RestoreFromCheckpoint(EnokiSched* module) {
     }
     last_restore_age_ns_ = core_->now() - ck.taken_at;
     AppendRestoreLog("restore", ck, "");
-    CallRecord e = Entry(RecordType::kCheckpointRestore);
+    CallRecord e{.type = RecordType::kCheckpointRestore};
     e.arg[0] = ck.sequence;
     e.arg[1] = last_restore_depth_;
     e.arg[2] = last_restore_depth_ - 1;  // generations skipped on the way
@@ -445,10 +438,9 @@ uint64_t EnokiRuntime::Reinject(Duration* pause) {
       if (t == nullptr || t->state() != TaskState::kRunnable || ModuleOffline()) {
         return;
       }
-      CallRecord e = Entry(RecordType::kTaskWakeup, cpu);
-      e.arg[0] = NiceArg(t);
       // Runtime-driven, so it does not count toward a probation window.
-      HandToken(t, &e, &EnokiSched::TaskWakeup, "reinject_wakeup", /*probation_call=*/false);
+      HandToken(t, cpu, RecordType::kTaskWakeup, &EnokiSched::TaskWakeup, "reinject_wakeup",
+                /*probation_call=*/false);
       ++injected;
     });
   }
@@ -574,8 +566,7 @@ void EnokiRuntime::DrainHintQueues() {
   for (const auto& queue : user_queues_) {
     std::optional<HintBlob> hint;
     while (!ModuleOffline() && (hint = queue->Pop()).has_value()) {
-      CallRecord e = Entry(RecordType::kParseHint);
-      std::copy(std::begin(hint->w), std::end(hint->w), e.arg);
+      const CallRecord e = EncodeHint<CallRecord>(RecordType::kParseHint, *hint);
       Notify(-1, &e, "parse_hint", [&] { module_->ParseHint(*hint); });
     }
   }
@@ -590,10 +581,7 @@ int EnokiRuntime::SelectTaskRq(Task* t, int prev_cpu, bool wake_sync, bool is_ne
   SetCurrentKthread(home);
   TaskMessage msg = MakeMsg(t, prev_cpu, wake_sync);
   msg.is_new = is_new;
-  CallRecord e = Entry(RecordType::kSelectTaskRq, prev_cpu, t->pid(), msg.runtime);
-  e.flag = wake_sync;
-  e.arg[0] = NiceArg(t);
-  e.arg[1] = is_new ? 1 : 0;
+  const CallRecord e = EncodeTask<CallRecord>(RecordType::kSelectTaskRq, msg);
   int cpu = -1;
   if (!Query(home, e, "select_task_rq", [&] {
         cpu = module_->SelectTaskRq(msg);
@@ -630,12 +618,10 @@ void EnokiRuntime::EnqueueTask(int cpu, Task* t, bool wakeup) {
   // If the callback throws, the freshly minted token dies in the unwind and
   // the module may never learn of the task — the classic lost-wakeup bug.
   // The starvation detector is what rescues the task in that case.
-  CallRecord e = Entry(wakeup ? RecordType::kTaskWakeup : RecordType::kTaskNew, cpu);
-  e.arg[0] = NiceArg(t);
   if (wakeup) {
-    HandToken(t, &e, &EnokiSched::TaskWakeup, "task_wakeup");
+    HandToken(t, cpu, RecordType::kTaskWakeup, &EnokiSched::TaskWakeup, "task_wakeup");
   } else {
-    HandToken(t, &e, &EnokiSched::TaskNew, "task_new");
+    HandToken(t, cpu, RecordType::kTaskNew, &EnokiSched::TaskNew, "task_new");
   }
 }
 
@@ -652,17 +638,19 @@ void EnokiRuntime::DequeueTask(int cpu, Task* t, DequeueReason reason) {
   }
   SetCurrentKthread(cpu);
   const TaskMessage msg = MakeMsg(t, cpu);
-  CallRecord e = Entry(RecordType::kTaskBlocked, cpu, t->pid(), msg.runtime);
   switch (reason) {
-    case DequeueReason::kBlocked:
+    case DequeueReason::kBlocked: {
+      const CallRecord e = EncodeTask<CallRecord>(RecordType::kTaskBlocked, msg);
       Notify(cpu, &e, "task_blocked", [&] { module_->TaskBlocked(msg); });
       break;
-    case DequeueReason::kDead:
-      e.type = RecordType::kTaskDead;
+    }
+    case DequeueReason::kDead: {
+      const CallRecord e = EncodeCpu<CallRecord>(RecordType::kTaskDead, cpu, msg.pid, msg.runtime);
       Notify(cpu, &e, "task_dead", [&] { module_->TaskDead(t->pid()); });
       break;
+    }
     case DequeueReason::kDeparted: {
-      e.type = RecordType::kTaskDeparted;
+      CallRecord e = EncodeTask<CallRecord>(RecordType::kTaskDeparted, msg);
       e.has_resp = true;
       uint64_t returned = 0;
       if (!Query(cpu, e, "task_departed", [&] {
@@ -685,7 +673,7 @@ Task* EnokiRuntime::PickNextTask(int cpu) {
   }
   SetCurrentKthread(cpu);
   std::optional<Schedulable> token;
-  if (!Query(cpu, Entry(RecordType::kPickNextTask, cpu), "pick_next_task", [&] {
+  if (!Query(cpu, EncodeCpu<CallRecord>(RecordType::kPickNextTask, cpu), "pick_next_task", [&] {
         token = module_->PickNextTask(cpu, std::nullopt);
         return token.has_value() ? token->pid() : 0;
       }) ||
@@ -699,7 +687,7 @@ Task* EnokiRuntime::PickNextTask(int cpu) {
     // the token back through pnt_err (section 3.1).
     ++pick_errors_;
     core_->CountPickError();
-    const CallRecord err = Entry(RecordType::kPntErr, cpu, token->pid());
+    const CallRecord err = EncodeCpu<CallRecord>(RecordType::kPntErr, cpu, token->pid());
     Notify(cpu, &err, "pnt_err", [&] { module_->PntErr(cpu, std::move(token)); });
     if (watchdog_ != nullptr && !quarantined() &&
         watchdog_->OnPickError() != TripReason::kNone) {
@@ -716,15 +704,13 @@ Task* EnokiRuntime::PickNextTask(int cpu) {
 
 void EnokiRuntime::TaskPreempted(int cpu, Task* t) {
   if (Requeue(cpu, t)) {
-    CallRecord e = Entry(RecordType::kTaskPreempt, cpu);
-    HandToken(t, &e, &EnokiSched::TaskPreempt, "task_preempt");
+    HandToken(t, cpu, RecordType::kTaskPreempt, &EnokiSched::TaskPreempt, "task_preempt");
   }
 }
 
 void EnokiRuntime::TaskYielded(int cpu, Task* t) {
   if (Requeue(cpu, t)) {
-    CallRecord e = Entry(RecordType::kTaskYield, cpu);
-    HandToken(t, &e, &EnokiSched::TaskYield, "task_yield");
+    HandToken(t, cpu, RecordType::kTaskYield, &EnokiSched::TaskYield, "task_yield");
   }
 }
 
@@ -744,7 +730,7 @@ void EnokiRuntime::TaskTick(int cpu, Task* t) {
   }
   SetCurrentKthread(cpu);
   const Duration runtime = core_->TaskRuntime(t);
-  const CallRecord e = Entry(RecordType::kTaskTick, cpu, t->pid(), runtime);
+  const CallRecord e = EncodeCpu<CallRecord>(RecordType::kTaskTick, cpu, t->pid(), runtime);
   Notify(cpu, &e, "task_tick", [&] { module_->TaskTick(cpu, t->pid(), runtime); });
 }
 
@@ -754,7 +740,7 @@ bool EnokiRuntime::Balance(int cpu) {
   }
   SetCurrentKthread(cpu);
   std::optional<uint64_t> pid;
-  if (!Query(cpu, Entry(RecordType::kBalance, cpu), "balance", [&] {
+  if (!Query(cpu, EncodeCpu<CallRecord>(RecordType::kBalance, cpu), "balance", [&] {
         pid = module_->Balance(cpu);
         return pid.value_or(0);
       }) ||
@@ -771,7 +757,7 @@ bool EnokiRuntime::Balance(int cpu) {
   const bool movable = valid_offer && !core_->CpuKickPending(t->cpu());
   if (!movable) {
     ++balance_errors_;
-    const CallRecord err = Entry(RecordType::kBalanceErr, cpu, *pid);
+    const CallRecord err = EncodeCpu<CallRecord>(RecordType::kBalanceErr, cpu, *pid);
     Notify(cpu, &err, "balance_err", [&] { module_->BalanceErr(cpu, *pid, std::nullopt); });
     if (!valid_offer && watchdog_ != nullptr && !quarantined() &&
         watchdog_->OnBalanceError() != TripReason::kNone) {
@@ -783,8 +769,7 @@ bool EnokiRuntime::Balance(int cpu) {
   queued_[from].erase(*pid);
   const MigrateMessage mig{
       .pid = *pid, .from_cpu = from, .to_cpu = cpu, .runtime = core_->TaskRuntime(t)};
-  CallRecord me = Entry(RecordType::kMigrateTaskRq, cpu, *pid);
-  me.arg[0] = static_cast<uint64_t>(from);
+  const CallRecord me = EncodeMigrate<CallRecord>(RecordType::kMigrateTaskRq, mig);
   uint64_t returned = 0;
   if (!Query(cpu, me, "migrate_task_rq", [&] {
         return returned = module_->MigrateTaskRq(mig, Mint(t, cpu)).pid();
@@ -811,7 +796,7 @@ void EnokiRuntime::TimerFired(int cpu) {
     return;
   }
   SetCurrentKthread(cpu);
-  const CallRecord e = Entry(RecordType::kTimerFired, cpu);
+  const CallRecord e = EncodeCpu<CallRecord>(RecordType::kTimerFired, cpu);
   Notify(cpu, &e, "timer_fired", [&] { module_->TimerFired(cpu); });
 }
 
@@ -819,9 +804,8 @@ void EnokiRuntime::AffinityChanged(Task* t) {
   if (ModuleOffline()) {
     return;
   }
-  CallRecord e = Entry(RecordType::kAffinityChanged, -1, t->pid());
-  e.arg[0] = t->affinity().word(0);
-  e.arg[1] = t->affinity().word(1);
+  const CallRecord e =
+      EncodePidMask<CallRecord>(RecordType::kAffinityChanged, t->pid(), t->affinity());
   Notify(t->cpu(), &e, "affinity_changed",
          [&] { module_->TaskAffinityChanged(t->pid(), t->affinity()); });
 }
@@ -830,8 +814,7 @@ void EnokiRuntime::PrioChanged(Task* t) {
   if (ModuleOffline()) {
     return;
   }
-  CallRecord e = Entry(RecordType::kPrioChanged, -1, t->pid());
-  e.arg[0] = NiceArg(t);
+  const CallRecord e = EncodePidNice<CallRecord>(RecordType::kPrioChanged, t->pid(), t->nice());
   Notify(t->cpu(), &e, "prio_changed", [&] { module_->TaskPrioChanged(t->pid(), t->nice()); });
 }
 
@@ -1013,7 +996,7 @@ void EnokiRuntime::CommitUpgrade(std::unique_ptr<EnokiSched> outgoing, Duration 
   ChargeAllCpus(pause);
   report->ok = true;
   report->pause_ns = pause;
-  CallRecord e = Entry(RecordType::kUpgrade);
+  CallRecord e{.type = RecordType::kUpgrade};
   e.arg[0] = upgrades_;
   e.arg[1] = report->checkpointed ? 1 : 0;
   Record(e);

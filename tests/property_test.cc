@@ -139,8 +139,7 @@ TEST(ReplayRobustness, CallsOnlyTraceNeedsNoLockEntries) {
   auto log = RecordSmallWfqRun();
   std::vector<RecordEntry> calls_only;
   for (const auto& e : log) {
-    if (e.type != RecordType::kLockCreate && e.type != RecordType::kLockAcquire &&
-        e.type != RecordType::kLockRelease) {
+    if (IsModuleCall(e.type)) {
       calls_only.push_back(e);
     }
   }

@@ -1105,10 +1105,7 @@ TEST(ReplayDegradation, TruncatedTraceCountsTimeoutsInsteadOfHanging) {
   std::vector<RecordEntry> truncated;
   truncated.reserve(log.size());
   for (size_t i = 0; i < log.size(); ++i) {
-    const RecordType t = log[i].type;
-    const bool is_lock = t == RecordType::kLockCreate || t == RecordType::kLockAcquire ||
-                         t == RecordType::kLockRelease;
-    if (i >= lo && i < hi && !is_lock) {
+    if (i >= lo && i < hi && IsModuleCall(log[i].type)) {
       continue;  // the ring overwrote these calls
     }
     truncated.push_back(log[i]);
