@@ -105,23 +105,13 @@ class ArbiterSched : public EnokiSched {
 
   void TaskDead(uint64_t pid) override {
     SpinLockGuard g(lock_);
-    queued_.erase(pid);
+    ForgetLocked(pid);
     tokens_.erase(pid);
-    auto it = core_of_.find(pid);
-    if (it != core_of_.end()) {
-      ReleaseCoreLocked(pid, it->second);
-    }
-    auto app = app_of_.find(pid);
-    if (app != app_of_.end()) {
-      apps_[app->second].parked.erase(pid);
-      app_of_.erase(app);
-    }
-    RecomputeLocked();
   }
 
   std::optional<Schedulable> TaskDeparted(const TaskMessage& msg) override {
     SpinLockGuard g(lock_);
-    queued_.erase(msg.pid);
+    ForgetLocked(msg.pid);
     auto it = tokens_.find(msg.pid);
     if (it == tokens_.end()) {
       return std::nullopt;
@@ -208,6 +198,22 @@ class ArbiterSched : public EnokiSched {
     SpinLockGuard g(lock_);
     queued_.insert(pid);
     tokens_.insert_or_assign(pid, std::move(sched));
+  }
+
+  // The activation left the arbiter (it died or departed): its core goes
+  // back to the pool and no later request can grant it one.
+  void ForgetLocked(uint64_t pid) {
+    queued_.erase(pid);
+    auto it = core_of_.find(pid);
+    if (it != core_of_.end()) {
+      ReleaseCoreLocked(pid, it->second);
+    }
+    auto app = app_of_.find(pid);
+    if (app != app_of_.end()) {
+      apps_[app->second].parked.erase(pid);
+      app_of_.erase(app);
+    }
+    RecomputeLocked();
   }
 
   void ReleaseCoreLocked(uint64_t pid, int core) {

@@ -679,6 +679,23 @@ TEST(Arbiter, DeadActivationLeavesNoGrant) {
   EXPECT_EQ(sim.core.pick_errors(), 0u);
 }
 
+TEST(Arbiter, DepartedActivationLeavesNoGrant) {
+  ArbiterSim sim;
+  Task* act = sim.core.CreateTask(
+      "act", std::make_unique<CpuBoundBody>(Milliseconds(5), Microseconds(100)), sim.policy);
+  sim.Bind(act->pid());
+  sim.core.Start();
+  sim.core.RunFor(Microseconds(200));
+  // The activation leaves the arbiter before its app asks for a core: the
+  // request must find no activation to grant one to.
+  sim.core.SetTaskPolicy(act, sim.cfs_policy);
+  sim.Request(1);
+  sim.core.RunFor(Milliseconds(1));
+  EXPECT_EQ(sim.module()->granted_cores(1), 0u);
+  EXPECT_EQ(sim.module()->free_cores(), 7u);
+  EXPECT_TRUE(sim.core.RunUntilAllExit(Milliseconds(20)));
+}
+
 TEST(Arbiter, BalanceErrRekicksTheGrantedCoreUntilThePullSucceeds) {
   ArbiterSim sim;
   // The activation may only run on CPU 2 but is granted core 1, so every
