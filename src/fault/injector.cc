@@ -196,16 +196,6 @@ int FaultInjector::RegisterReverseQueue(int queue_id) {
   return inner_->RegisterReverseQueue(queue_id);
 }
 
-void FaultInjector::EnterQueue(int queue_id) { inner_->EnterQueue(queue_id); }
-void FaultInjector::UnregisterQueue(int queue_id) { inner_->UnregisterQueue(queue_id); }
-
-void FaultInjector::UnregisterRevQueue(int queue_id) {
-  if (queue_id == rev_queue_) {
-    rev_queue_ = -1;
-  }
-  inner_->UnregisterRevQueue(queue_id);
-}
-
 void FaultInjector::ParseHint(const HintBlob& hint) { inner_->ParseHint(hint); }
 
 std::optional<uint64_t> FaultInjector::Balance(int cpu) {

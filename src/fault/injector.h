@@ -216,9 +216,6 @@ class FaultInjector : public EnokiSched {
 
   int RegisterQueue(int queue_id) override;
   int RegisterReverseQueue(int queue_id) override;
-  void EnterQueue(int queue_id) override;
-  void UnregisterQueue(int queue_id) override;
-  void UnregisterRevQueue(int queue_id) override;
   void ParseHint(const HintBlob& hint) override;
 
   std::optional<uint64_t> Balance(int cpu) override;
