@@ -56,7 +56,8 @@ void Run() {
                  "simkernel/sched_class.h", "simkernel/event_loop.h", "simkernel/costs.h",
                  "simkernel/bodies.h"}),
        "Other libEnoki: 5870 (Rust, 2858 unsafe)"},
-      {"Userspace record", CountAll({"enoki/record.h", "enoki/record.cc"}),
+      {"Userspace record",
+       CountAll({"enoki/record.h", "enoki/record.cc", "enoki/call_codec.h"}),
        "Userspace record: 95 (Rust)"},
       {"Replay", CountAll({"enoki/replay.h", "enoki/replay.cc"}), "Replay: 646 (Rust)"},
   };
