@@ -91,7 +91,7 @@ int main() {
     const UpgradeReport report = runtime.Upgrade(std::move(next));
     std::printf("[%.3f ms] upgraded WFQ -> WFQ v2: pause %.2f us (paper: ~1.5 us on 8 cores)\n",
                 ToMilliseconds(core.now()), ToMicroseconds(report.pause_ns));
-    std::printf("          probation: %s\n", runtime.in_probation() ? "active" : "off");
+    std::printf("          probation: %s\n", runtime.ladder().in_probation() ? "active" : "off");
   });
 
   core.Start();
@@ -107,6 +107,6 @@ int main() {
   std::printf("upgrades committed: %llu, rollbacks: %llu, probation cleared: %s\n",
               static_cast<unsigned long long>(runtime.upgrades()),
               static_cast<unsigned long long>(runtime.rollbacks()),
-              runtime.in_probation() ? "no" : "yes");
+              runtime.ladder().in_probation() ? "no" : "yes");
   return done && runtime.upgrades() == 1 && runtime.rollbacks() == 1 ? 0 : 1;
 }

@@ -27,29 +27,20 @@ const char* TripReasonName(TripReason reason) {
   return "unknown";
 }
 
-void Watchdog::StartLatencyRun(Duration ns) {
-  FlushLatencyRun();
-  latency_run_value_ = ns;
-  latency_run_count_ = 1;
+void CallLatency::StartRun(Duration ns) {
+  histogram_.Record(run_value_, run_count_);
+  run_value_ = ns;
+  run_count_ = 1;
 }
 
-CrashReport Watchdog::BuildReport(TripReason reason, std::string detail, Time now) {
-  FlushLatencyRun();
-  CrashReport report;
-  report.reason = reason;
-  report.detail = std::move(detail);
-  report.tripped_at = now;
-  report.escaped_exceptions = escaped_exceptions_;
-  report.pick_errors = pick_errors_;
-  report.balance_errors = balance_errors_;
-  report.starved_pid = reason == TripReason::kStarvation ? starved_pid_ : 0;
-  report.during_probation = probation_open_;
-  report.callback_count = callback_latency_.count();
-  report.callback_mean_ns = callback_latency_.mean_ns();
-  report.callback_max_ns = callback_latency_.max();
-  report.callback_p50_ns = callback_latency_.Percentile(50.0);
-  report.callback_p99_ns = callback_latency_.Percentile(99.0);
-  return report;
+void CallLatency::Summarize(CrashReport* report) {
+  histogram_.Record(run_value_, run_count_);
+  run_count_ = 0;
+  report->callback_count = histogram_.count();
+  report->callback_mean_ns = histogram_.mean_ns();
+  report->callback_max_ns = histogram_.max();
+  report->callback_p50_ns = histogram_.Percentile(50.0);
+  report->callback_p99_ns = histogram_.Percentile(99.0);
 }
 
 std::string CrashReport::ToString() const {

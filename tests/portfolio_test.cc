@@ -609,20 +609,21 @@ TEST(PortfolioSupervisor, EachPolicyRestartsFromItsOwnCheckpoint) {
   for (const PortfolioPolicy& policy : Portfolio()) {
     PolicyStack s = MakePolicyStack(policy.make(), policy.spec);
     s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-    s.runtime->EnableSupervisor(SupervisorConfig{}, policy.make);
+    s.runtime->ladder().EnableSupervisor(SupervisorConfig{}, policy.make);
     EnokiRuntime* rt = s.runtime.get();
-    s.core->loop().ScheduleAfter(Milliseconds(1), [rt] { rt->AbortModule("injected abort"); });
+    s.core->loop().ScheduleAfter(Milliseconds(1),
+                                 [rt] { rt->ladder().AbortModule("injected abort"); });
     PipeBenchConfig cfg;
     cfg.messages = 2000;
     const auto r = RunPipeBench(*s.core, s.enoki_policy, cfg);
     EXPECT_TRUE(r.completed) << policy.name << " lost tasks across restart";
     EXPECT_FALSE(rt->quarantined()) << policy.name;
-    EXPECT_FALSE(rt->fallback_done()) << policy.name;
+    EXPECT_FALSE(rt->ladder().fallback_done()) << policy.name;
     EXPECT_EQ(rt->module_restarts(), 1u) << policy.name;
-    ASSERT_GE(rt->supervisor()->timeline().size(), 1u) << policy.name;
+    ASSERT_GE(rt->ladder().supervisor()->timeline().size(), 1u) << policy.name;
     // The versioned checkpoint was valid and actually used — the restart is
     // a restore, not a fresh start.
-    EXPECT_TRUE(rt->supervisor()->timeline()[0].restored_from_checkpoint) << policy.name;
+    EXPECT_TRUE(rt->ladder().supervisor()->timeline()[0].restored_from_checkpoint) << policy.name;
   }
 }
 
@@ -647,7 +648,7 @@ TEST(PortfolioUpgrade, EachPolicyUpgradesToAndFromWfq) {
       EXPECT_TRUE(r.completed) << policy.name << " -> wfq stranded tasks";
       EXPECT_EQ(rt->upgrades(), 1u) << policy.name;
       EXPECT_FALSE(rt->quarantined()) << policy.name;
-      EXPECT_FALSE(rt->fallback_done()) << policy.name;
+      EXPECT_FALSE(rt->ladder().fallback_done()) << policy.name;
     }
     // WFQ -> policy: same boundary crossed the other way.
     {
@@ -665,7 +666,7 @@ TEST(PortfolioUpgrade, EachPolicyUpgradesToAndFromWfq) {
       EXPECT_TRUE(r.completed) << "wfq -> " << policy.name << " stranded tasks";
       EXPECT_EQ(rt->upgrades(), 1u) << policy.name;
       EXPECT_FALSE(rt->quarantined()) << policy.name;
-      EXPECT_FALSE(rt->fallback_done()) << policy.name;
+      EXPECT_FALSE(rt->ladder().fallback_done()) << policy.name;
     }
   }
 }
@@ -694,7 +695,7 @@ uint64_t ReinjectedAtUpgrade(std::unique_ptr<EnokiSched> from, std::unique_ptr<E
   EXPECT_TRUE(report.ok) << report.error;
   EXPECT_TRUE(s.core->RunUntilTasksDead(tasks, Milliseconds(100)));
   EXPECT_EQ(s.runtime->upgrades(), 1u);
-  EXPECT_FALSE(s.runtime->fallback_done());
+  EXPECT_FALSE(s.runtime->ladder().fallback_done());
   uint64_t wakeups = 0;
   for (const RecordEntry& e : recorder.TakeLog()) {
     wakeups += e.type == RecordType::kTaskWakeup ? 1 : 0;
@@ -826,11 +827,11 @@ CrossUpgradeOutcome RunCrossUpgradeSweep(uint64_t seed) {
   CrossUpgradeOutcome out;
   out.completed = r.completed;
   out.quarantined = rt->quarantined();
-  out.fallback = rt->fallback_done();
+  out.fallback = rt->ladder().fallback_done();
   out.upgrades = rt->upgrades();
   out.rollbacks = rt->rollbacks();
-  if (rt->crash_report().has_value()) {
-    out.report = rt->crash_report()->ToString();
+  if (rt->ladder().crash_report().has_value()) {
+    out.report = rt->ladder().crash_report()->ToString();
   }
   out.end_time = s.core->now();
   return out;
