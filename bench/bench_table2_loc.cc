@@ -48,6 +48,10 @@ void Run() {
   const Row rows[] = {
       {"Enoki-C analog (runtime + upgrade + hints)",
        CountAll({"enoki/runtime.h", "enoki/runtime.cc"}), "Enoki-C: 2411 (C)"},
+      {"Recovery ladder (ladder + watchdog + supervisor)",
+       CountAll({"enoki/recovery_ladder.h", "enoki/recovery_ladder.cc", "fault/watchdog.h",
+                 "fault/watchdog.cc", "fault/supervisor.h", "fault/supervisor.cc"}),
+       "n/a (extension)"},
       {"Scheduler libEnoki (API/trait, tokens, queues)",
        CountAll({"enoki/api.h", "enoki/lock.h", "enoki/lock.cc", "enoki/token_queue.h"}),
        "Scheduler libEnoki: 962 (Rust, 94 unsafe)"},

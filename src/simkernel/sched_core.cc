@@ -15,26 +15,21 @@ SchedCore::SchedCore(MachineSpec spec, SimCosts costs)
       owned_loop_(std::make_unique<EventLoop>()),
       loop_(owned_loop_.get()),
       cpus_(static_cast<size_t>(spec.ncpus)) {
-  ENOKI_CHECK(spec.ncpus > 0 && spec.ncpus <= CpuMask::kMaxCpus);
-  ENOKI_CHECK(spec.nodes > 0 && spec.ncpus % spec.nodes == 0);
-  ENOKI_CHECK(spec.node_of.empty() ||
-              spec.node_of.size() == static_cast<size_t>(spec.ncpus));
-  ENOKI_CHECK(!spec.smt_pairs || spec.ncpus % 2 == 0);
-  WarmLoop();
+  Init();
 }
 
 SchedCore::SchedCore(MachineSpec spec, SimCosts costs, EventLoop* loop)
     : spec_(spec), costs_(costs), loop_(loop), cpus_(static_cast<size_t>(spec.ncpus)) {
   ENOKI_CHECK(loop != nullptr);
-  ENOKI_CHECK(spec.ncpus > 0 && spec.ncpus <= CpuMask::kMaxCpus);
-  ENOKI_CHECK(spec.nodes > 0 && spec.ncpus % spec.nodes == 0);
-  ENOKI_CHECK(spec.node_of.empty() ||
-              spec.node_of.size() == static_cast<size_t>(spec.ncpus));
-  ENOKI_CHECK(!spec.smt_pairs || spec.ncpus % 2 == 0);
-  WarmLoop();
+  Init();
 }
 
-void SchedCore::WarmLoop() {
+void SchedCore::Init() {
+  ENOKI_CHECK(spec_.ncpus > 0 && spec_.ncpus <= CpuMask::kMaxCpus);
+  ENOKI_CHECK(spec_.nodes > 0 && spec_.ncpus % spec_.nodes == 0);
+  ENOKI_CHECK(spec_.node_of.empty() ||
+              spec_.node_of.size() == static_cast<size_t>(spec_.ncpus));
+  ENOKI_CHECK(!spec_.smt_pairs || spec_.ncpus % 2 == 0);
   if (spec_.warm_events_per_cpu > 0) {
     // Shard-local slab warming, at construction rather than Start(): task and
     // tenant creation precede Start(), and their wake events must draw from

@@ -345,6 +345,17 @@ TEST(SimKernel, TwoSocketTopology) {
   EXPECT_EQ(core.NodeOf(79), 1);
 }
 
+TEST(SimKernel, BothConstructorsCheckTheNodeMapSize) {
+  MachineSpec spec{4, 2, "4 cores"};
+  spec.node_of = {0, 0, 1};  // three entries for four CPUs
+  EXPECT_DEATH({ SchedCore core(spec, SimCosts{}); }, "node_of");
+  EventLoop loop;
+  EXPECT_DEATH({ SchedCore core(spec, SimCosts{}, &loop); }, "node_of");
+  spec.node_of.push_back(1);  // one entry per CPU is accepted
+  SchedCore core(spec, SimCosts{});
+  EXPECT_EQ(core.NodeOf(2), 1);
+}
+
 TEST(SimKernel, FindTaskByPid) {
   Sim sim;
   Task* t = sim.core.CreateTask("t", std::make_unique<CpuBoundBody>(Microseconds(1), Microseconds(1)), 0);
