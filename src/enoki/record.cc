@@ -72,10 +72,10 @@ bool Recorder::SaveToFile(const std::string& path) const {
   for (const RecordEntry& e : log_) {
     std::fprintf(f,
                  "%" PRIu64 " %" PRIu64 " %d %u %" PRIu64 " %d %" PRIu64 " %" PRIu64 " %" PRIu64
-                 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %d %d\n",
+                 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %d %d\n",
                  e.seq, e.time, e.kthread, static_cast<unsigned>(e.type), e.pid, e.cpu, e.runtime,
-                 e.arg[0], e.arg[1], e.arg[2], e.arg[3], e.resp0, e.resp1,
-                 e.has_resp ? 1 : 0, e.flag ? 1 : 0);
+                 e.arg[0], e.arg[1], e.arg[2], e.arg[3], e.resp0, e.has_resp ? 1 : 0,
+                 e.flag ? 1 : 0);
   }
   std::fclose(f);
   return true;
@@ -97,10 +97,10 @@ bool Recorder::LoadFromFile(const std::string& path, std::vector<RecordEntry>* o
     const bool parsed =
         std::sscanf(line.c_str(),
                     "%" SCNu64 " %" SCNu64 " %d %u %" SCNu64 " %d %" SCNu64 " %" SCNu64
-                    " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64 " %d %d %n",
+                    " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64 " %d %d %n",
                     &e.seq, &e.time, &e.kthread, &type, &e.pid, &e.cpu, &e.runtime,
-                    &e.arg[0], &e.arg[1], &e.arg[2], &e.arg[3], &e.resp0, &e.resp1,
-                    &has_resp, &flag, &end) == 15 &&
+                    &e.arg[0], &e.arg[1], &e.arg[2], &e.arg[3], &e.resp0, &has_resp, &flag,
+                    &end) == 14 &&
         static_cast<size_t>(end) == line.size();
     if (!parsed || !IsRecordType(type)) {
       out->clear();

@@ -36,7 +36,6 @@ struct RecordEntry {
   uint64_t runtime = 0;
   uint64_t arg[4] = {0, 0, 0, 0};
   uint64_t resp0 = 0;
-  uint64_t resp1 = 0;
   bool has_resp = false;
   bool flag = false;  // wake_sync and similar per-type booleans
 };
@@ -51,7 +50,7 @@ struct RecordEntry {
 // A slot keeps only the fields CrashReport::ToString prints — time, type,
 // pid, cpu, resp0 — plus kthread; seq is the slot's position in the append
 // order. That keeps the per-call write at 32 bytes instead of a full
-// RecordEntry's 104.
+// RecordEntry's 96.
 class FlightRecorder {
  public:
   // Capacity must be a power of two: Append indexes the ring with a mask.
@@ -123,7 +122,7 @@ class Recorder : public LockHooks {
 
   // Text serialization, one entry per line: the record file the replay
   // utility consumes. A record file is untrusted input: LoadFromFile returns
-  // false, with `out` empty, on a line that is not exactly fifteen fields or
+  // false, with `out` empty, on a line that is not exactly fourteen fields or
   // that names no RecordType.
   bool SaveToFile(const std::string& path) const;
   static bool LoadFromFile(const std::string& path, std::vector<RecordEntry>* out);
