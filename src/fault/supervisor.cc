@@ -19,7 +19,7 @@ std::string ModuleSupervisor::TimelineString() const {
   }
   std::snprintf(buf, sizeof(buf),
                 "  trips=%zu restarts=%" PRIu64 " healthy=%" PRIu64 " escalations=%" PRIu64 "\n}",
-                history_.size(), restarts_decided_, healthy_commits_, escalations_);
+                history_.size(), restarts_decided_, healthy_commits_, escalations());
   out += buf;
   return out;
 }
