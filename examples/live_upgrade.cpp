@@ -105,8 +105,8 @@ int main() {
                 static_cast<unsigned long long>(v2->picks()));
   }
   std::printf("upgrades committed: %llu, rollbacks: %llu, probation cleared: %s\n",
-              static_cast<unsigned long long>(runtime.upgrades()),
+              static_cast<unsigned long long>(runtime.ladder().upgrades()),
               static_cast<unsigned long long>(runtime.rollbacks()),
               runtime.ladder().in_probation() ? "no" : "yes");
-  return done && runtime.upgrades() == 1 && runtime.rollbacks() == 1 ? 0 : 1;
+  return done && runtime.ladder().upgrades() == 1 && runtime.rollbacks() == 1 ? 0 : 1;
 }

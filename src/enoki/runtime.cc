@@ -430,73 +430,6 @@ std::optional<HintBlob> EnokiRuntime::PollRevHint(int queue_id) {
   return rev_queues_[queue_id]->Pop();
 }
 
-UpgradeReport EnokiRuntime::Upgrade(std::unique_ptr<EnokiSched> next) {
-  UpgradeReport report;
-  if (!ladder_.AdmitUpgrade(next.get(), &report)) {
-    return report;
-  }
-  // Checkpoint the outgoing module *before* ReregisterPrepare disturbs its
-  // state: if the incoming module fails init or probation, this snapshot is
-  // what the transaction rolls back to.
-  Checkpoint ck;
-  report.checkpointed = ladder_.TakeCheckpoint(module_.get(), &ck);
-  TransferState state;
-  try {
-    state = module_->ReregisterPrepare();
-  } catch (const std::exception& ex) {
-    // The old module would not quiesce: it stays installed and keeps
-    // running; no pause is charged because the write lock was released
-    // without a handoff.
-    report.error = std::string("module refused to quiesce: ") + ex.what();
-    return report;
-  }
-  if (report.checkpointed) {
-    ladder_.mutable_checkpoint_store()->Push(std::move(ck));  // what an abort restores
-  }
-  // The pause: the write-locked quiesce's reader drain (one in-flight call
-  // per CPU), the prepare/init calls, the pointer swap and the checkpoint.
-  const SimCosts& costs = core_->costs();
-  const Duration pause = SwapPause(costs.upgrade_swap_ns + 2 * costs.enoki_call_ns) +
-                         (report.checkpointed ? costs.checkpoint_save_ns : 0);
-  // Probe whether the incoming module actually adopts the transferred state.
-  // A cross-policy upgrade names a different transfer type, so Take() fails,
-  // the carried Schedulable tokens die with the transfer, and the commit path
-  // must re-inject queued tasks as fresh wakeups or they strand forever.
-  std::shared_ptr<bool> consumed = state.AttachConsumptionProbe();
-  std::unique_ptr<EnokiSched> outgoing = std::move(module_);
-  next->Attach(this);
-  module_ = std::move(next);
-  try {
-    module_->ReregisterInit(std::move(state));
-  } catch (const std::exception& ex) {
-    ladder_.AbortUpgrade(std::move(outgoing), pause, ex.what(), &report);
-    return report;
-  }
-  ++upgrades_;
-  // Every CPU's next scheduling operation is delayed by the blackout.
-  ChargeAllCpus(pause);
-  report.ok = true;
-  report.pause_ns = pause;
-  CallRecord e{.type = RecordType::kUpgrade};
-  e.arg[0] = upgrades_;
-  e.arg[1] = report.checkpointed ? 1 : 0;
-  Record(e);
-  ladder_.CommitUpgrade(std::move(outgoing), report);
-  if (!*consumed) {
-    // The incoming module did not take the transfer (different policy, or
-    // the outgoing module exported nothing): every token it carried is gone.
-    // Re-inject the queued tasks with freshly minted tokens, as a reinstall
-    // does. Runs after probation is armed so a successor that trips the
-    // watchdog here is contained by the normal probation rollback.
-    Duration restore = 0;
-    if (Reinject(&restore) > 0) {
-      report.pause_ns += restore;
-      KickAllCpus();
-    }
-  }
-  return report;
-}
-
 void AttachShardMergeRecorder(ShardedEventLoop& engine, Recorder* recorder) {
   ENOKI_CHECK(recorder != nullptr);
   engine.set_merge_observer(

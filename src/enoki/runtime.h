@@ -8,11 +8,11 @@
 //  - maintaining the kernel-side run-queue bookkeeping (which task is queued
 //    where) that modules must never touch,
 //  - charging the framework's per-invocation overhead to the cost model,
-//  - hint queues in both directions (section 3.3),
-//  - live upgrade with quiesce and state transfer (section 3.2), and
+//  - hint queues in both directions (section 3.3), and
 //  - appending record entries in record mode (section 3.4).
-// Its fault-containment half, the recovery ladder, is the RecoveryLadder it
-// holds (src/enoki/recovery_ladder.h).
+// The live upgrade (section 3.2) and the fault-containment half, the
+// recovery ladder, are the RecoveryLadder it holds
+// (src/enoki/recovery_ladder.h).
 
 #ifndef SRC_ENOKI_RUNTIME_H_
 #define SRC_ENOKI_RUNTIME_H_
@@ -76,14 +76,10 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   // Userspace polls a kernel->user queue.
   std::optional<HintBlob> PollRevHint(int queue_id);
 
-  // ---- Live upgrade (section 3.2) ----
-  // Transactional: the outgoing module's accounting state is checkpointed
-  // before the swap (when it supports SaveCheckpoint), a post-swap init
-  // failure rolls back to the checkpointed predecessor, and — with a
-  // watchdog armed and a checkpoint taken — the incoming module runs a
-  // probation window under its own DefaultProbation() budgets before the
-  // upgrade commits. The ladder admits, aborts and probates it.
-  UpgradeReport Upgrade(std::unique_ptr<EnokiSched> next);
+  // ---- Live upgrade (section 3.2): RecoveryLadder::Upgrade documents it ----
+  UpgradeReport Upgrade(std::unique_ptr<EnokiSched> next) {
+    return ladder_.Upgrade(std::move(next));
+  }
 
   // ---- Fault containment (the recovery ladder) ----
   RecoveryLadder& ladder() { return ladder_; }
@@ -108,7 +104,6 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   uint64_t module_calls() const { return module_calls_; }
   uint64_t pick_errors() const { return pick_errors_; }
   uint64_t balance_errors() const { return balance_errors_; }
-  uint64_t upgrades() const { return upgrades_; }
   uint64_t escaped_exceptions() const { return ladder_.escaped_exceptions(); }
   size_t QueuedCount(int cpu) const { return queued_[cpu].size(); }
   const FlightRecorder& flight_recorder() const { return flight_; }
@@ -278,7 +273,6 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   uint64_t module_calls_ = 0;
   uint64_t pick_errors_ = 0;
   uint64_t balance_errors_ = 0;
-  uint64_t upgrades_ = 0;
   // Simulated time the module declared via BusyWait during the current
   // callback; folded into that call's watchdog-visible latency.
   Duration callback_busy_ns_ = 0;

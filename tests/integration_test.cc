@@ -220,7 +220,7 @@ TEST(Integration, UpgradeUnderSchbenchLoad) {
   }
   auto result = RunSchbench(core, policy, cfg);
   EXPECT_GT(result.wakeups, 100u);
-  EXPECT_EQ(runtime.upgrades(), 3u);
+  EXPECT_EQ(runtime.ladder().upgrades(), 3u);
   EXPECT_EQ(core.pick_errors(), 0u);
   // Paper 5.7: the pause is too short to affect schbench tails.
   EXPECT_LT(result.p99, Milliseconds(5));

@@ -125,7 +125,7 @@ TEST(Smoke, UpgradeWfqLive) {
   auto result = RunPipeBench(core, policy, cfg);
   ASSERT_TRUE(result.completed);
   EXPECT_EQ(core.pick_errors(), 0u);
-  EXPECT_EQ(runtime.upgrades(), 1u);
+  EXPECT_EQ(runtime.ladder().upgrades(), 1u);
 }
 
 TEST(Smoke, RecordReplayFifo) {
