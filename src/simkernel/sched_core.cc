@@ -13,13 +13,12 @@ SchedCore::SchedCore(MachineSpec spec, SimCosts costs)
     : spec_(spec),
       costs_(costs),
       owned_loop_(std::make_unique<EventLoop>()),
-      loop_(owned_loop_.get()),
-      cpus_(static_cast<size_t>(spec.ncpus)) {
+      loop_(owned_loop_.get()) {
   Init();
 }
 
 SchedCore::SchedCore(MachineSpec spec, SimCosts costs, EventLoop* loop)
-    : spec_(spec), costs_(costs), loop_(loop), cpus_(static_cast<size_t>(spec.ncpus)) {
+    : spec_(spec), costs_(costs), loop_(loop) {
   ENOKI_CHECK(loop != nullptr);
   Init();
 }
@@ -30,6 +29,7 @@ void SchedCore::Init() {
   ENOKI_CHECK(spec_.node_of.empty() ||
               spec_.node_of.size() == static_cast<size_t>(spec_.ncpus));
   ENOKI_CHECK(!spec_.smt_pairs || spec_.ncpus % 2 == 0);
+  cpus_.resize(static_cast<size_t>(spec_.ncpus));
   if (spec_.warm_events_per_cpu > 0) {
     // Shard-local slab warming, at construction rather than Start(): task and
     // tenant creation precede Start(), and their wake events must draw from

@@ -309,7 +309,8 @@ class SchedCore {
   // balancing analog).
   static constexpr uint64_t kIdleBalanceTicks = 4;
 
-  // Both constructors end here: checks the machine spec, then warms the loop.
+  // Both constructors end here: checks the machine spec, sizes the per-CPU
+  // state and warms the loop.
   void Init();
   void WakeTaskInternal(Task* t, bool sync, int from_cpu, bool is_new);
   void Schedule(int cpu);

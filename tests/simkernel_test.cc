@@ -356,6 +356,15 @@ TEST(SimKernel, BothConstructorsCheckTheNodeMapSize) {
   EXPECT_EQ(core.NodeOf(2), 1);
 }
 
+TEST(SimKernel, BothConstructorsCheckTheCpuCount) {
+  // The per-CPU state is sized after the checks, so a negative count fails
+  // the check with its message instead of throwing from the vector.
+  MachineSpec spec{-1, 1, "negative"};
+  EXPECT_DEATH({ SchedCore core(spec, SimCosts{}); }, "ncpus > 0");
+  EventLoop loop;
+  EXPECT_DEATH({ SchedCore core(spec, SimCosts{}, &loop); }, "ncpus > 0");
+}
+
 TEST(SimKernel, FindTaskByPid) {
   Sim sim;
   Task* t = sim.core.CreateTask("t", std::make_unique<CpuBoundBody>(Microseconds(1), Microseconds(1)), 0);
