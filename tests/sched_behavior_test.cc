@@ -209,6 +209,25 @@ TEST(CfsBehavior, NicePlusNineteenGetsTinyShare) {
   EXPECT_LT(ToSeconds(core.TaskRuntime(bg)), 0.1);
 }
 
+TEST(CfsBehavior, ReniceReweightsARunnableTask) {
+  SchedCore core(MachineSpec::OneSocket8(), SimCosts{});
+  CfsClass cfs;
+  core.RegisterClass(&cfs);
+  Task* fg = core.CreateTaskOn("fg", std::make_unique<SpinForeverBody>(Microseconds(500)), 0, 0,
+                               CpuMask::Single(0));
+  Task* bg = core.CreateTaskOn("bg", std::make_unique<SpinForeverBody>(Microseconds(500)), 0, 0,
+                               CpuMask::Single(0));
+  core.Start();
+  core.RunFor(Milliseconds(500));
+  const Duration fg0 = core.TaskRuntime(fg);
+  const Duration bg0 = core.TaskRuntime(bg);
+  EXPECT_NEAR(ToSeconds(fg0), ToSeconds(bg0), 0.05);  // equal weights split the core
+  core.SetTaskNice(bg, 19);  // CfsClass::PrioChanged takes the new weight
+  core.RunFor(Seconds(1));
+  EXPECT_GT(ToSeconds(core.TaskRuntime(fg) - fg0), 0.9);
+  EXPECT_LT(ToSeconds(core.TaskRuntime(bg) - bg0), 0.1);
+}
+
 // ---- ghOSt accounting ----
 
 TEST(GhostBehavior, EveryEventProducesAMessage) {
@@ -238,6 +257,35 @@ TEST(GhostBehavior, EveryEventProducesAMessage) {
   // At minimum: new + dead per task, plus a blocked+wakeup per sleep.
   EXPECT_GE(ghost.messages(), 4u * (2 + 5));
   EXPECT_GE(ghost.commits(), 4u * 5);
+}
+
+TEST(GhostBehavior, EachYieldIsOneMessage) {
+  // The same task with and without five yields between its computes: each
+  // yield adds exactly one message, and the yielding task still finishes.
+  auto run = [](bool yield) {
+    SchedCore core(MachineSpec::OneSocket8(), SimCosts{});
+    AgentClass agents;
+    GhostClass ghost(GhostClass::Mode::kPerCpuFifo, CpuMask::All(8));
+    const int agent_policy = core.RegisterClass(&agents);
+    const int ghost_policy = core.RegisterClass(&ghost);
+    CfsClass cfs;
+    core.RegisterClass(&cfs);
+    ghost.SpawnAgents(agent_policy, -1);
+    auto left = std::make_shared<int>(10);
+    Task* t = core.CreateTask("t", MakeFnBody([left, yield](SimContext&) -> Action {
+                                if (*left == 0) {
+                                  return Action::Exit();
+                                }
+                                --*left;
+                                return *left % 2 == 0 && yield ? Action::Yield()
+                                                               : Action::Compute(Microseconds(50));
+                              }),
+                              ghost_policy);
+    core.Start();
+    EXPECT_TRUE(core.RunUntilTasksDead({t}, Seconds(1)));
+    return ghost.messages();
+  };
+  EXPECT_EQ(run(true), run(false) + 5);
 }
 
 TEST(GhostBehavior, StaleCommitDoesNotRunBlockedTask) {

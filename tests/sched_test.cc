@@ -597,6 +597,27 @@ TEST(Arbiter, GrantsRequestedCores) {
   EXPECT_EQ(sim.core.pick_errors(), 0u);
 }
 
+TEST(Arbiter, YieldingActivationIsRequeuedOnItsCore) {
+  ArbiterSim sim;
+  auto yields = std::make_shared<int>(0);
+  Task* act = sim.core.CreateTask("act", MakeFnBody([yields](SimContext&) -> Action {
+                                    if (*yields == 20) {
+                                      return Action::Exit();
+                                    }
+                                    ++*yields;
+                                    return Action::Yield();
+                                  }),
+                                  sim.policy);
+  sim.Bind(act->pid());
+  sim.Request(1);
+  sim.core.Start();
+  // Each yield hands the arbiter the activation's token back; a token it
+  // dropped would leave the activation queued and unpicked for good.
+  EXPECT_TRUE(sim.core.RunUntilAllExit(Milliseconds(20)));
+  EXPECT_EQ(*yields, 20);
+  EXPECT_EQ(sim.core.pick_errors(), 0u);
+}
+
 TEST(Arbiter, ReclaimReleasesOnBlock) {
   ArbiterSim sim;
   auto park = std::make_shared<WaitQueue>("park");
