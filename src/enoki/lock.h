@@ -3,25 +3,37 @@
 // Scheduler code synchronizes through these wrappers instead of raw kernel
 // locks. The wrappers delegate to pluggable hooks so the same scheduler code
 // runs unchanged in three modes:
-//  - normal kernel operation: hooks are a no-op (the simulated kernel is
-//    sequential; the spinlock below still provides real exclusion when the
-//    module is exercised from real threads);
+//  - normal kernel operation: no hooks are installed;
 //  - record mode: every create/acquire/release is appended to the record
 //    log together with the acquiring kernel-thread id, which is the paper's
 //    mechanism for making concurrent replay deterministic;
 //  - replay mode: acquisition blocks until it is this thread's recorded
 //    turn, reproducing the recorded interleaving exactly.
 //
+// A lock has two paths, chosen per acquire by whether hooks are installed:
+//  - No hooks: the simulated kernel is sequential, so module code runs on
+//    one host thread at a time. Acquire checks that the lock is free (a
+//    re-entrant acquire aborts, naming the lock id, where a spin would hang)
+//    and marks it held with a plain store; no atomic read-modify-write.
+//  - Hooks installed: Acquire calls the hook, then takes the lock with an
+//    exchange and spins, which gives real exclusion between host threads.
+// Module code runs on several host threads only under ReplayEngine, and
+// ReplayEngine::Run checks that its LockOrderHooks are installed before it
+// starts a thread: real threads imply hooks, so real threads always take the
+// exchange path.
+//
 // Everything here is header-inline: Acquire/Release run once or twice per
 // scheduler callback (millions of times per simulated second), and in the
-// common no-hooks case they must compile down to a couple of atomic
-// instructions rather than an out-of-line call into a mutex.
+// no-hooks case they compile down to plain loads, tests and stores: no
+// atomic read-modify-write and no out-of-line call.
 
 #ifndef SRC_ENOKI_LOCK_H_
 #define SRC_ENOKI_LOCK_H_
 
 #include <atomic>
 #include <cstdint>
+
+#include "src/base/check.h"
 
 namespace enoki {
 
@@ -68,17 +80,22 @@ class SpinLock {
   SpinLock(const SpinLock&) = delete;
   SpinLock& operator=(const SpinLock&) = delete;
 
-  void Acquire() {
+  [[gnu::always_inline]] void Acquire() {
     if (LockHooks* hooks = GetLockHooks()) [[unlikely]] {
       hooks->OnLockAcquire(id_);
-    }
-    while (locked_.exchange(true, std::memory_order_acquire)) {
-      // Uncontended in the sequential simulator; spin for real threads.
-      while (locked_.load(std::memory_order_relaxed)) {
+      while (locked_.exchange(true, std::memory_order_acquire)) {
+        // Uncontended in the sequential simulator; spin for real threads.
+        while (locked_.load(std::memory_order_relaxed)) {
+        }
       }
+      return;
     }
+    ENOKI_CHECKF(!locked_.load(std::memory_order_relaxed),
+                 "SpinLock %llu acquired while held (re-entrant acquire)",
+                 static_cast<unsigned long long>(id_));
+    locked_.store(true, std::memory_order_relaxed);
   }
-  void Release() {
+  [[gnu::always_inline]] void Release() {
     locked_.store(false, std::memory_order_release);
     if (LockHooks* hooks = GetLockHooks()) [[unlikely]] {
       hooks->OnLockRelease(id_);
@@ -94,8 +111,8 @@ class SpinLock {
 // RAII guard.
 class SpinLockGuard {
  public:
-  explicit SpinLockGuard(SpinLock& lock) : lock_(lock) { lock_.Acquire(); }
-  ~SpinLockGuard() { lock_.Release(); }
+  [[gnu::always_inline]] explicit SpinLockGuard(SpinLock& lock) : lock_(lock) { lock_.Acquire(); }
+  [[gnu::always_inline]] ~SpinLockGuard() { lock_.Release(); }
   SpinLockGuard(const SpinLockGuard&) = delete;
   SpinLockGuard& operator=(const SpinLockGuard&) = delete;
 

@@ -144,6 +144,9 @@ void ReplayEngine::PerformCall(EnokiSched* module, const RecordEntry& e, ReplayR
 
 ReplayResult ReplayEngine::Run(EnokiSched* module) {
   ENOKI_CHECK(hooks_ != nullptr);  // InstallHooks() must precede module construction
+  // The module's locks run on real threads below, which only the hooked
+  // path of SpinLock::Acquire makes safe (src/enoki/lock.h).
+  ENOKI_CHECK(GetLockHooks() == hooks_.get());
   ReplayResult result;
 
   const auto replay_start = std::chrono::steady_clock::now();

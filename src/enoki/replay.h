@@ -76,6 +76,9 @@ class ReplayEngine {
   // InstallHooks() and Run().
   void InstallHooks();
 
+  // Replays the log on real threads. Checks first that the hooks
+  // InstallHooks() installed are still the installed ones: the module's
+  // shim locks give real exclusion only on their hooked path.
   ReplayResult Run(EnokiSched* module);
 
  private:
