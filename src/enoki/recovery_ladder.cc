@@ -158,6 +158,7 @@ void RecoveryLadder::ScheduleRung(Duration delay) {
         return;
       }
     }
+    rt_.StampRecorder();
     const SimCosts& costs = core()->costs();
     if (state_ == SlotState::kRollbackPending) {
       ReinstallModule(std::move(prev_module_), rt_.SwapPause(costs.upgrade_swap_ns),
@@ -303,6 +304,7 @@ void RecoveryLadder::ArmCheckpointCadence(uint64_t epoch) {
 }
 
 bool RecoveryLadder::TakeCheckpoint(EnokiSched* module, Checkpoint* out, bool* threw) {
+  rt_.StampRecorder();
   ByteWriter w;
   bool ok = false;
   try {
