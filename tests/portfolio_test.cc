@@ -692,6 +692,9 @@ TEST(PortfolioUpgrade, SamePolicyUpgradeConsumesTransferWithoutReinjection) {
   // and locality adopt the token-and-queue table like every other table
   // policy; before they moved onto it they exported nothing, and every
   // queued task came back through re-injection.
+  EXPECT_EQ(ReinjectedAtUpgrade(std::make_unique<FifoSched>(0), std::make_unique<FifoSched>(0),
+                                MachineSpec::OneSocket8()),
+            0u);
   EXPECT_EQ(ReinjectedAtUpgrade(std::make_unique<PairSched>(0), std::make_unique<PairSched>(0),
                                 MachineSpec::SmtOneSocket8()),
             0u);
@@ -708,6 +711,27 @@ TEST(PortfolioUpgrade, SamePolicyUpgradeConsumesTransferWithoutReinjection) {
                                 std::make_unique<LocalitySched>(0, /*use_hints=*/false),
                                 MachineSpec::OneSocket8()),
             0u);
+}
+
+// A fifo-to-fifo upgrade carries fifo's round-robin placement cursor in
+// its transfer (SaveTransfer/LoadTransfer): right after the swap the
+// successor saves the checkpoint its predecessor saved just before it.
+TEST(PortfolioUpgrade, FifoUpgradeCarriesThePlacementCursor) {
+  FaultStack s = MakeFaultStack(std::make_unique<FifoSched>(0));
+  s.core->Start();
+  for (int i = 0; i < 3; ++i) {  // the cursor ends on CPU 3 of 8
+    s.core->CreateTask(std::string("c").append(std::to_string(i)),
+                       std::make_unique<CpuBoundBody>(Milliseconds(1), Microseconds(50)),
+                       s.enoki_policy);
+  }
+  s.core->RunFor(Microseconds(100));
+  ByteWriter before;
+  ASSERT_TRUE(s.runtime->module()->SaveCheckpoint(&before));
+  const UpgradeReport report = s.runtime->Upgrade(std::make_unique<FifoSched>(0));
+  ASSERT_TRUE(report.ok) << report.error;
+  ByteWriter after;
+  ASSERT_TRUE(s.runtime->module()->SaveCheckpoint(&after));
+  EXPECT_EQ(after.Take(), before.Take());
 }
 
 // A WFQ successor whose first TaskWakeup throws. Behind a cross-policy
