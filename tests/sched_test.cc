@@ -163,6 +163,30 @@ TEST(Cfs, WakeupPreemptionByVruntime) {
   EXPECT_LT(*wake_lat, Milliseconds(2));
 }
 
+// check_preempt_wakeup preempts only when the woken task trails the current
+// one by more than the wakeup granularity: at exactly the granularity the
+// current task keeps its CPU.
+TEST(Cfs, WakeupPreemptNeedsMoreThanTheGranularity) {
+  CfsSim sim(MachineSpec{1, 1, "1 core"});
+  sim.core.set_ticks_enabled(false);
+  Task* sleeper = sim.core.CreateTask(
+      "sleeper", std::make_unique<ScriptedBody>(std::vector<Action>{Action::Sleep(Seconds(1))}),
+      0);
+  Task* hog =
+      sim.core.CreateTask("hog", std::make_unique<CpuBoundBody>(Seconds(1), Seconds(1)), 0);
+  sim.core.Start();
+  sim.core.RunFor(Microseconds(100));
+  ASSERT_EQ(sleeper->state(), TaskState::kBlocked);
+  ASSERT_EQ(hog->state(), TaskState::kRunning);
+  // Both start at vruntime 0 and run at nice 0, where vruntime is runtime.
+  const Duration tie = sim.core.TaskRuntime(sleeper) + CfsClass::kWakeupGranularityNs;
+  sim.core.RunFor(tie - sim.core.TaskRuntime(hog));
+  ASSERT_EQ(sim.core.TaskRuntime(hog), tie);
+  EXPECT_FALSE(sim.cfs.WakeupPreempt(0, hog, sleeper));
+  sim.core.RunFor(1);
+  EXPECT_TRUE(sim.cfs.WakeupPreempt(0, hog, sleeper));
+}
+
 // Builds CFS queue states on TwoNode16 (node 0 = CPUs 0-7, node 1 = 8-15)
 // and asks which CPU an idle pick on CPU 0 pulls from. Every CPU from 2 up
 // runs a pinned occupant; CPUs 0 and 1 stay idle, so tasks queued on CPU 1
