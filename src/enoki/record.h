@@ -3,6 +3,8 @@
 // In record mode the runtime appends one RecordEntry per call into the
 // scheduler (with its arguments and response) and the lock shims append one
 // entry per lock create/acquire/release, tagged with the kernel thread id.
+// A Recorder is a LockHooks: installed with SetLockHooks it receives the
+// lock events, and the locks take their hooked path (src/enoki/lock.h).
 // Entries flow through a ring buffer shared with a userspace record task,
 // which drains them to the log asynchronously — writing cannot happen in
 // scheduler context (interrupts disabled), exactly as in the paper. Buffer
@@ -111,8 +113,11 @@ class Recorder : public LockHooks {
   // log. Returns the number of entries drained.
   size_t Drain();
 
-  // The recorder's notion of "now", set by the runtime before each call so
-  // entries are stamped with simulated time.
+  // The recorder's notion of "now", which stamps every entry. The runtime
+  // sets it before the module runs, for each call and each ladder step that
+  // enters the module (checkpoint save, restore, reregister), so the lock
+  // entries the module's shim locks append carry the time of the call or
+  // step that took the lock.
   void SetTime(Time t) { time_ = t; }
 
   const std::vector<RecordEntry>& log() const { return log_; }
