@@ -13,7 +13,7 @@
 //                    global operator new override, so it sees everything)
 //   - prof_*       : subsystem counters (src/base/profile.h): event-queue
 //                    lane spills, slab/arena growth, epoch barriers and
-//                    controller decisions
+//                    adaptive-ramp doublings
 // Every config runs twice, and both runs must execute the same events (and
 // on the sharded engine reach the same result fingerprint), or the bench
 // exits 2.
@@ -252,7 +252,7 @@ MultitenantConfig MtConfig(MachineSpec machine, int nshards, int shard_threads) 
 }
 
 // Adaptive-epoch variant: the cross-node RPC latency is raised to 100 us so
-// the controller has real widening headroom (the clamp is the minimum
+// the adaptive ramp has real widening headroom (the clamp is the minimum
 // cross-shard latency; at 25 us the window could only grow 20 -> 25 us).
 // The flat (nshards=1) twin uses the same latency, so it runs the identical
 // logical system.
@@ -383,7 +383,7 @@ std::vector<PerfResult> RunAll() {
   out.push_back(MeasureMt("mt256_s8t4", MtConfig(m256, 8, 4)));
 
   // Adaptive-epoch rows: same machines, 100 us cross-node latency, the
-  // controller widening the window from committed traffic.
+  // window ramping from 20 us to that latency.
   out.push_back(MeasureMt("mt128_s4t4a", MtAdaptiveConfig(m128, 4, 4)));
   out.push_back(MeasureMt("mt256_flata", MtAdaptiveConfig(m256, 1, 1)));
   out.push_back(MeasureMt("mt256_s8t1a", MtAdaptiveConfig(m256, 8, 1)));

@@ -55,7 +55,7 @@ struct WheelProfile {
   }
 };
 
-// Per-ShardedEventLoop barrier/merge/controller counters. Written only by
+// Per-ShardedEventLoop barrier/merge/ramp counters. Written only by
 // thread 0, the thread driving RunUntil; every host thread passes the same
 // one barrier per epoch and commits for itself, so thread 0's view covers
 // the run.
@@ -63,8 +63,10 @@ struct ShardProfile {
   uint64_t epochs = 0;        // committed epoch barriers
   uint64_t idle_leaps = 0;    // epochs whose window start leapt an idle span
   uint64_t commit_msgs = 0;   // cross-shard messages committed
-  uint64_t widens = 0;        // controller WIDEN decisions applied
-  uint64_t narrows = 0;       // controller NARROW decisions applied
+  uint64_t widens = 0;        // adaptive-ramp doublings that moved the window
+  // Always 0: the adaptive ramp never narrows the window. Kept because the
+  // repository benchmark (perfbench/) still reports it.
+  uint64_t narrows = 0;
   uint64_t commit_ns = 0;     // wall ns thread 0 folded the merge order
   uint64_t barrier_ns = 0;    // wall ns thread 0 waited at the epoch barrier
 };

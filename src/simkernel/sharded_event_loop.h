@@ -32,14 +32,14 @@
 //   4. Owner-side peek and commit: every cross-shard message is one mailbox
 //      header (deliver_time, src_shard, dst_shard, src_seq, payload index),
 //      pushed by the sending shard's thread into its own padded slot, next to
-//      the post-run PeekTime and event count of the shards it runs. After the
-//      barrier each thread inserts the messages committed to its shards (the
-//      global order restricted to each destination: the same per-loop
-//      ScheduleAt sequence a serial commit makes) and derives the next
-//      horizon, leap flag and controller window from all slots itself. Every
-//      thread reads the same inputs, so all derive the same schedule. Thread
-//      0 alone folds the global order into MergeFingerprint and counts the
-//      profile. Slots and payload buffers alternate by epoch parity: a fast
+//      the post-run PeekTime of the shards it runs. After the barrier each
+//      thread inserts the messages committed to its shards (the global order
+//      restricted to each destination: the same per-loop ScheduleAt sequence
+//      a serial commit makes) and derives the next horizon, leap flag and
+//      window from all slots and its epoch count itself. Every thread reads
+//      the same inputs, so all derive the same schedule. Thread 0 alone
+//      folds the global order into MergeFingerprint and counts the profile.
+//      Slots and payload buffers alternate by epoch parity: a fast
 //      thread publishes epoch n+1 into the other parity while a slow one
 //      still reads epoch n, and an owner clears a buffer only after the next
 //      barrier, which proves every reader is done with it.
@@ -49,17 +49,15 @@
 // safe because no event exists in the skipped span, and it makes idle
 // stretches free.
 //
-// Adaptive epochs (Options::adaptive_epochs): a deterministic EpochController
-// widens or narrows the *effective* window between epochs, from committed
-// simulation state only — cross-shard message rate, idle-leap frequency, and
-// event density over a sliding window of epochs. Wider windows amortize the
-// barrier over more events; narrower windows protect the bounded outboxes
-// under cross-shard pressure. The clamp invariant that keeps the lookahead
-// argument intact: the window never exceeds the minimum cross-shard latency
-// registered via RegisterCrossLatency (and never drops below a floor of
-// epoch_ns / 4). The controller decides once per kControllerPeriod epochs. All
-// controller inputs are byte-identical across host thread counts, so the
-// window schedule — and therefore the run — still is too.
+// Adaptive epochs (Options::adaptive_epochs): the *effective* window ramps
+// up during the run. After every 8th committed epoch, counted across run
+// calls, it doubles, clamped to the smallest cross-shard latency registered
+// via RegisterCrossLatency; with nothing registered it stays at epoch_ns.
+// Wider windows amortize the barrier over more events. The clamp keeps the
+// lookahead argument intact: no message lands inside the window that sent
+// it. The ramp reads only the committed epoch count, which every host
+// thread derives alike, so the window schedule, and therefore the run, is
+// byte-identical across thread counts.
 //
 // With K=1 the engine degrades to a zero-overhead forwarder around the plain
 // EventLoop — benchmarks comparing "sharded vs unsharded" compare against
@@ -73,7 +71,6 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -83,90 +80,6 @@
 #include "src/simkernel/event_loop.h"
 
 namespace enoki {
-
-// Deterministic per-epoch window controller. Fed one sample per *committed*
-// epoch; every `period` samples it makes one decision:
-//
-//         ┌─────────────────────────────────────────────────┐
-//         │                   HOLD (start)                  │
-//         └─────────────────────────────────────────────────┘
-//    msgs/epoch ≥ slots/4 │        │ leaps ≥ period/2  │ dense & headroom
-//            ▼            │        ▼                   ▼
-//         NARROW (w /= 2) │      HOLD          WIDEN (w *= 2)
-//
-//  1. NARROW when committed cross-shard messages per epoch approach the
-//     bounded outbox capacity (≥ slots/4): halve the window (clamped to
-//     `floor`) so one epoch's traffic cannot overflow a mailbox — overflow
-//     is a checked error, so pressure must be relieved before the cliff.
-//  2. HOLD when idle-leap epochs dominate the window (≥ half): the engine is
-//     leaping over idle spans, so window width is already irrelevant and
-//     drifting it would only add noise.
-//  3. WIDEN when the epochs are dense (events/epoch ≥ widen_density) and
-//     cross traffic has ample headroom (msgs/epoch ≤ slots/8): double the
-//     window (clamped to `ceiling`) to amortize the barrier over more events.
-//
-// Every input is a pure function of the simulation (committed counts), never
-// of host timing, so decision sequences are identical for any thread count.
-// The ceiling is the lookahead clamp: callers must set it no higher than the
-// minimum registered cross-shard latency.
-class EpochController {
- public:
-  struct Config {
-    Duration floor = 0;
-    Duration ceiling = 0;
-    int period = 8;                // epochs per decision
-    size_t mailbox_slots = 4096;   // NARROW threshold base
-    uint64_t widen_density = 16;   // events/epoch needed to WIDEN
-  };
-
-  explicit EpochController(Config cfg) : cfg_(cfg) {
-    ENOKI_CHECK(cfg.floor > 0 && cfg.ceiling >= cfg.floor && cfg.period > 0);
-  }
-
-  // Records one committed epoch and returns the window for the next one.
-  Duration OnEpoch(Duration window, uint64_t committed_msgs, uint64_t events, bool leapt) {
-    msgs_ += committed_msgs;
-    events_ += events;
-    leaps_ += leapt ? 1 : 0;
-    if (++samples_ < cfg_.period) {
-      return Clamp(window);
-    }
-    const uint64_t period = static_cast<uint64_t>(cfg_.period);
-    const uint64_t avg_msgs = msgs_ / period;
-    const uint64_t avg_events = events_ / period;
-    const bool leap_dominated = leaps_ * 2 >= period;
-    msgs_ = events_ = leaps_ = 0;
-    samples_ = 0;
-    if (avg_msgs * 4 >= cfg_.mailbox_slots) {
-      const Duration w = Clamp(window / 2);
-      narrows_ += (w != window) ? 1 : 0;
-      return w;
-    }
-    if (leap_dominated) {
-      return Clamp(window);
-    }
-    if (avg_events >= cfg_.widen_density && avg_msgs * 8 <= cfg_.mailbox_slots) {
-      const Duration w = Clamp(window * 2);
-      widens_ += (w != window) ? 1 : 0;
-      return w;
-    }
-    return Clamp(window);
-  }
-
-  uint64_t widens() const { return widens_; }
-  uint64_t narrows() const { return narrows_; }
-
- private:
-  Duration Clamp(Duration w) const { return std::clamp(w, cfg_.floor, cfg_.ceiling); }
-
-  const Config cfg_;
-  uint64_t msgs_ = 0;
-  uint64_t events_ = 0;
-  uint64_t leaps_ = 0;
-  int samples_ = 0;
-  uint64_t widens_ = 0;
-  uint64_t narrows_ = 0;
-};
 
 class ShardedEventLoop {
  public:
@@ -180,18 +93,15 @@ class ShardedEventLoop {
     // (default 1). Clamped to [1, nshards]. Thread count never affects
     // simulation output, only wall-clock.
     int threads = 0;
-    // Adaptive epochs: let an EpochController retune the effective window
-    // between epochs. epoch_ns becomes the *initial* window; the controller
-    // moves it within [max(epoch_ns / 4, 1), min registered cross-shard
-    // latency].
+    // Adaptive epochs: epoch_ns becomes the *initial* window, which doubles
+    // after every 8th committed epoch up to the smallest registered
+    // cross-shard latency (see the header comment).
     bool adaptive_epochs = false;
   };
 
   // Per-shard outbox capacity (messages per epoch per shard). Overflow is a
   // checked error, not a drop — dropping would make output depend on timing.
   static constexpr size_t kMailboxSlots = 65536;
-  // Epochs per controller decision (its sliding stats window).
-  static constexpr int kControllerPeriod = 8;
 
   explicit ShardedEventLoop(Options opts) : opts_(opts), sched_(opts.epoch_ns) {
     ENOKI_CHECK(opts.nshards >= 1);
@@ -224,8 +134,7 @@ class ShardedEventLoop {
   int nshards() const { return opts_.nshards; }
   int threads() const { return threads_; }
   Duration epoch_ns() const { return opts_.epoch_ns; }
-  // Current effective window (== epoch_ns until an adaptive controller moves
-  // it).
+  // Current effective window (== epoch_ns until the adaptive ramp moves it).
   Duration window_ns() const { return sched_.window; }
   EventLoop& shard(int i) { return shards_[static_cast<size_t>(i)]->loop; }
 
@@ -234,7 +143,7 @@ class ShardedEventLoop {
 
   // Declares that every future PostCross through this engine carries at
   // least `latency`. Must be called before the first epoch runs. The
-  // adaptive controller may then widen the window up to the smallest
+  // adaptive ramp may then widen the window up to the smallest
   // registered latency — the clamp that keeps the lookahead argument (no
   // message lands inside the window that sent it) intact. Static mode
   // ignores registrations; the fixed epoch_ns bound already holds.
@@ -245,15 +154,12 @@ class ShardedEventLoop {
     min_cross_latency_ = std::min(min_cross_latency_, latency);
   }
 
-  // Barrier/merge/controller counters, as thread 0 saw them. Count-type
-  // fields are deterministic across hosts and thread counts; *_ns fields
-  // are wall-clock.
+  // Barrier/merge/ramp counters, as thread 0 saw them. Count-type fields
+  // are deterministic across hosts and thread counts; *_ns fields are
+  // wall-clock.
   ShardProfile profile() const {
     ShardProfile p = prof_;
-    if (sched_.controller) {
-      p.widens = sched_.controller->widens();
-      p.narrows = sched_.controller->narrows();
-    }
+    p.widens = sched_.widens;
     return p;
   }
 
@@ -370,7 +276,6 @@ class ShardedEventLoop {
   // parity never shares a line with readers of the other or another thread.
   struct alignas(64) Slot {
     Time peek = kTimeMax;           // min PeekTime over the owned shards
-    uint64_t events = 0;            // events the owned shards ran
     std::vector<CrossMsg> headers;  // messages the owned shards posted
   };
 
@@ -401,8 +306,8 @@ class ShardedEventLoop {
   struct Schedule {
     explicit Schedule(Duration w) : window(w) {}
     Time now = 0;
-    Duration window;  // effective epoch width (moved by the controller)
-    std::optional<EpochController> controller;  // built lazily, adaptive only
+    Duration window;  // effective epoch width (moved by the adaptive ramp)
+    uint64_t widens = 0;          // ramp doublings that moved the window
     uint64_t epochs = 0;          // epochs run: the parity of the next one
     uint64_t barriers = 0;        // barriers passed
     std::vector<CrossMsg> mail;   // reused commit buffer
@@ -437,7 +342,7 @@ class ShardedEventLoop {
   // Next horizon. The window must be at most s.window wide so the lookahead
   // argument holds; when the next event is beyond one window the start leaps
   // to (gmin - window), which is safe because the skipped span is empty.
-  // Sets *leapt when the start leapt an idle span (a controller input).
+  // Sets *leapt when the start leapt an idle span.
   static Time EpochTarget(const Schedule& s, Time gmin, Time deadline, bool* leapt) {
     Time start = s.now;
     *leapt = false;
@@ -472,9 +377,9 @@ class ShardedEventLoop {
   }
 
   // Thread t's side of a run call. Each epoch runs the owned shards to the
-  // target, publishes their peek and event count, passes the barrier, then
-  // commits. On return the owned shards hold every committed message, and
-  // (RunUntil) their clocks stand at the deadline. noexcept: an exception
+  // target, publishes their peek, passes the barrier, then commits. On
+  // return the owned shards hold every committed message, and (RunUntil)
+  // their clocks stand at the deadline. noexcept: an exception
   // leaving one thread's callbacks would strand the others at a barrier, so
   // it ends the program on every thread count, as on a worker thread.
   void EpochLoop(int t, Schedule& s) noexcept {
@@ -484,16 +389,12 @@ class ShardedEventLoop {
       bool leapt = false;
       const Time target = EpochTarget(s, gmin, deadline, &leapt);
       Time peek = kTimeMax;
-      uint64_t events = 0;
       for (int i = t; i < opts_.nshards; i += threads_) {
         EventLoop& loop = shards_[static_cast<size_t>(i)]->loop;
-        const uint64_t before = loop.events_executed();
         loop.RunUntil(target);
-        events += loop.events_executed() - before;
         peek = std::min(peek, loop.PeekTime());
       }
       slot(t, p).peek = peek;
-      slot(t, p).events = events;
       {
         ProfTimer wait(t == 0 && threads_ > 1 ? &prof_.barrier_ns : nullptr);
         Barrier(s);
@@ -519,14 +420,10 @@ class ShardedEventLoop {
   // GlobalNextTime would read now.
   Time Commit(int t, Schedule& s, int p, Time target, bool leapt) {
     Time next = kTimeMax;
-    uint64_t events = 0;
-    uint64_t committed = 0;
     s.mail.clear();
     for (int w = 0; w < threads_; ++w) {
       const Slot& pub = slot(w, p);
       next = std::min(next, pub.peek);
-      events += pub.events;
-      committed += pub.headers.size();
       for (const CrossMsg& m : pub.headers) {
         next = std::min(next, m.deliver_at);
         if (t == 0 || Owner(m.dst) == t) {
@@ -564,19 +461,11 @@ class ShardedEventLoop {
     }
     s.now = target;
     ++s.epochs;
-    if (opts_.adaptive_epochs) {
-      if (!s.controller) {
-        EpochController::Config cc;
-        cc.floor = std::max<Duration>(opts_.epoch_ns / 4, 1);
-        cc.ceiling = LookaheadBound();
-        cc.period = kControllerPeriod;
-        cc.mailbox_slots = kMailboxSlots;
-        s.controller.emplace(cc);
-        s.window = std::clamp(s.window, cc.floor, cc.ceiling);
-      }
-      // Committed counts only: identical for every host thread count, so
-      // the window schedule (and the run) stays byte-identical too.
-      s.window = s.controller->OnEpoch(s.window, committed, events, leapt);
+    // The adaptive ramp. The epoch count is the same on every thread, so
+    // every thread's schedule moves alike.
+    if (opts_.adaptive_epochs && s.epochs % 8 == 0 && s.window < LookaheadBound()) {
+      s.window = std::min(2 * s.window, LookaheadBound());
+      ++s.widens;
     }
     return next;
   }

@@ -62,9 +62,9 @@ struct MultitenantConfig {
   int nshards = 4;
   int shard_threads = 0;  // 0 = ENOKI_SHARD_THREADS (default 1)
   Duration epoch_ns = 20'000;
-  // Adaptive epoch control (see ShardedEventLoop::Options): the engine
-  // retunes the window within [epoch_ns / 4, remote_latency] from committed
-  // traffic. Off by default so static-mode configs stay byte-identical.
+  // Adaptive epochs (see ShardedEventLoop::Options): the engine's window
+  // starts at epoch_ns and doubles every 8 epochs up to remote_latency. Off
+  // by default, so static-mode configs keep their epoch schedule.
   bool adaptive_epochs = false;
 
   int tenants_per_group = 16;       // arrival streams per NUMA node
@@ -98,8 +98,7 @@ struct MultitenantResult {
   uint64_t events = 0;
   uint64_t epochs = 0;
   uint64_t idle_leaps = 0;      // epochs whose window start leapt idle time
-  uint64_t widens = 0;          // adaptive controller WIDEN decisions
-  uint64_t narrows = 0;         // adaptive controller NARROW decisions
+  uint64_t widens = 0;          // adaptive-ramp doublings of the window
   Duration final_window_ns = 0; // effective epoch width at run end
   Duration p50 = 0;
   Duration p99 = 0;
@@ -191,10 +190,10 @@ class MultitenantSim {
     }
     h = Mix(h, engine_.MergeFingerprint());
     const ShardProfile prof = engine_.profile();
-    // Folding the epoch/controller counters into the fingerprint makes the
-    // determinism sweeps assert the adaptive claim directly: the controller's
-    // decision sequence must match across thread counts, not just its
-    // downstream effects.
+    // Folding the epoch schedule into the fingerprint makes the determinism
+    // sweeps assert it directly: epochs, leaps and ramp doublings must match
+    // across thread counts, not just their downstream effects. narrows is
+    // always 0 now; it stays in its place so stored fingerprints hold.
     h = Mix(h, prof.epochs);
     h = Mix(h, prof.idle_leaps);
     h = Mix(h, prof.widens);
@@ -205,7 +204,6 @@ class MultitenantSim {
     r.epochs = engine_.epochs();
     r.idle_leaps = prof.idle_leaps;
     r.widens = prof.widens;
-    r.narrows = prof.narrows;
     r.final_window_ns = engine_.window_ns();
     r.p50 = merged.Percentile(50.0);
     r.p99 = merged.Percentile(99.0);

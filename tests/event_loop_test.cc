@@ -771,82 +771,113 @@ TEST(ShardedDeterminism, RejectsLatencyBelowEpoch) {
   EXPECT_DEATH(engine.PostCross(0, 1, 4'999, [] {}), "lookahead");
 }
 
-// ---------------------------------------------------------------------------
-// EpochController unit tests. The controller is pure (committed counts in,
-// window out), so its decision sequence is tested directly without an engine.
-// ---------------------------------------------------------------------------
-
-EpochController::Config ControllerConfig() {
-  EpochController::Config cfg;
-  cfg.floor = 5'000;
-  cfg.ceiling = 80'000;
-  cfg.period = 4;
-  cfg.mailbox_slots = 1024;
-  cfg.widen_density = 16;
-  return cfg;
-}
-
-TEST(EpochController, WidensOnDensityUpToCeiling) {
-  EpochController c(ControllerConfig());
-  Duration w = 10'000;
-  // Dense, quiet-mailbox epochs: 100 events, no messages, no leaps. Every
-  // period the window should double until the ceiling clamp holds it.
-  for (int epoch = 0; epoch < 4 * 8; ++epoch) {
-    w = c.OnEpoch(w, /*committed_msgs=*/0, /*events=*/100, /*leapt=*/false);
+// The adaptive ramp, epoch by epoch: the window is epoch_ns through epoch 7,
+// doubles after epochs 8, 16 and 24, where it meets the registered latency,
+// and stays there. Each RunUntil below runs exactly one epoch, so the ramp's
+// epoch count must carry across run calls.
+TEST(ShardedDeterminism, AdaptiveWindowDoublesEveryEightEpochs) {
+  constexpr Duration kEpoch = 5'000;
+  constexpr Duration kLatency = 40'000;
+  for (int threads : {1, 2}) {
+    ShardedEventLoop::Options opts;
+    opts.nshards = 2;
+    opts.epoch_ns = kEpoch;
+    opts.threads = threads;
+    opts.adaptive_epochs = true;
+    ShardedEventLoop engine(opts);
+    engine.RegisterCrossLatency(kLatency);
+    // A tick every 100 ns on both shards: no window is empty, and each holds
+    // far more events than any density threshold would ask.
+    std::vector<std::function<void()>> ticks(2);
+    for (int s = 0; s < 2; ++s) {
+      EventLoop& shard = engine.shard(s);
+      std::function<void()>& self = ticks[static_cast<size_t>(s)];
+      self = [&shard, &self] {
+        if (shard.now() < 1'000'000) {
+          shard.ScheduleAt(shard.now() + 100, [&self] { self(); });
+        }
+      };
+      shard.ScheduleAt(100, [&self] { self(); });
+    }
+    for (uint64_t epoch = 1; epoch <= 40; ++epoch) {
+      engine.RunUntil(engine.now() + engine.window_ns());
+      ASSERT_EQ(engine.epochs(), epoch) << "threads=" << threads;
+      const Duration want = std::min<Duration>(kEpoch << (epoch / 8), kLatency);
+      ASSERT_EQ(engine.window_ns(), want) << "threads=" << threads << " epoch=" << epoch;
+    }
+    EXPECT_EQ(engine.profile().widens, 3u) << "threads=" << threads;
   }
-  EXPECT_EQ(w, 80'000u);  // 10k -> 20k -> 40k -> 80k, then held at ceiling
-  EXPECT_EQ(c.widens(), 3u);
-  EXPECT_EQ(c.narrows(), 0u);
 }
 
-TEST(EpochController, NarrowsUnderMailboxPressureDownToFloor) {
-  EpochController c(ControllerConfig());
-  Duration w = 80'000;
-  // avg 300 msgs/epoch * 4 >= 1024 slots: overflow risk, halve every period.
-  for (int epoch = 0; epoch < 4 * 8; ++epoch) {
-    w = c.OnEpoch(w, /*committed_msgs=*/300, /*events=*/1000, /*leapt=*/false);
+// What a sparse two-shard run computed: each shard's event times, the
+// committed merge order and the event count, but not its epoch schedule.
+struct SparseRun {
+  std::vector<std::string> log;
+  uint64_t fingerprint = 0;
+  uint64_t events = 0;
+  uint64_t epochs = 0;
+  uint64_t idle_leaps = 0;
+  uint64_t widens = 0;
+  Duration window = 0;
+};
+
+// From 1 ms on, each shard ticks every 120 us, shard 1 offset by 60 us, for
+// 2 ms, then falls silent for 10 ms and ticks for 2 ms more. Every tick posts to the
+// other shard with a 30 us latency, above the 20 us registered bound, so
+// consecutive events are always more than a window apart and every epoch
+// leaps an idle span.
+SparseRun RunSparseTicks(bool adaptive, int threads) {
+  ShardedEventLoop::Options opts;
+  opts.nshards = 2;
+  opts.epoch_ns = 5'000;
+  opts.threads = threads;
+  opts.adaptive_epochs = adaptive;
+  ShardedEventLoop engine(opts);
+  engine.RegisterCrossLatency(20'000);
+  std::array<std::vector<std::string>, 2> logs;
+  auto note = [&engine, &logs](int s, const char* what) {
+    logs[static_cast<size_t>(s)].push_back(std::string(what).append(std::to_string(s)) + "@" +
+                                           std::to_string(engine.shard(s).now()));
+  };
+  for (int s = 0; s < 2; ++s) {
+    for (Time start : {Time{1'000'000}, Time{13'000'000}}) {
+      for (Time at = start + 60'000 * s; at < start + 2'000'000; at += 120'000) {
+        engine.shard(s).ScheduleAt(at, [&engine, &note, s] {
+          note(s, "tick");
+          engine.PostCross(s, 1 - s, 30'000, [&note, s] { note(1 - s, "recv"); });
+        });
+      }
+    }
   }
-  EXPECT_EQ(w, 5'000u);  // 80k -> 40k -> 20k -> 10k -> 5k, then floor
-  EXPECT_EQ(c.narrows(), 4u);
-  EXPECT_EQ(c.widens(), 0u);
+  engine.RunUntilIdle();
+  SparseRun out;
+  out.log = logs[0];
+  out.log.insert(out.log.end(), logs[1].begin(), logs[1].end());
+  out.fingerprint = engine.MergeFingerprint();
+  out.events = engine.events_executed();
+  out.epochs = engine.epochs();
+  out.idle_leaps = engine.profile().idle_leaps;
+  out.widens = engine.profile().widens;
+  out.window = engine.window_ns();
+  return out;
 }
 
-TEST(EpochController, HoldsWhenLeapDominated) {
-  EpochController c(ControllerConfig());
-  Duration w = 10'000;
-  // Half the epochs leapt idle time: the traffic is sparse bursts, so the
-  // density average is meaningless and the controller must hold.
-  for (int epoch = 0; epoch < 4 * 8; ++epoch) {
-    w = c.OnEpoch(w, /*committed_msgs=*/0, /*events=*/100,
-                  /*leapt=*/(epoch % 2) == 0);
+// The ramp does not look at traffic: on a run whose every epoch leaps idle
+// time it widens the window all the same (a controller that held on
+// leap-dominated epochs kept it at epoch_ns), and the run computes what
+// the static schedule computes.
+TEST(ShardedDeterminism, AdaptiveRampOverIdleLeapsMatchesStatic) {
+  const SparseRun fixed = RunSparseTicks(/*adaptive=*/false, 1);
+  ASSERT_EQ(fixed.log.size(), 2u * 2u * 2u * 17u);  // ticks and receipts
+  for (int threads : {1, 2}) {
+    const SparseRun r = RunSparseTicks(/*adaptive=*/true, threads);
+    EXPECT_EQ(r.idle_leaps, r.epochs) << "threads=" << threads;
+    EXPECT_EQ(r.widens, 2u) << "threads=" << threads;
+    EXPECT_EQ(r.window, 20'000u) << "threads=" << threads;
+    EXPECT_EQ(r.log, fixed.log) << "threads=" << threads;
+    EXPECT_EQ(r.fingerprint, fixed.fingerprint) << "threads=" << threads;
+    EXPECT_EQ(r.events, fixed.events) << "threads=" << threads;
   }
-  EXPECT_EQ(w, 10'000u);
-  EXPECT_EQ(c.widens(), 0u);
-  EXPECT_EQ(c.narrows(), 0u);
-}
-
-TEST(EpochController, DecidesOnlyAtPeriodBoundaries) {
-  EpochController::Config cfg = ControllerConfig();
-  cfg.period = 8;
-  EpochController c(cfg);
-  Duration w = 10'000;
-  for (int epoch = 0; epoch < 7; ++epoch) {
-    w = c.OnEpoch(w, 0, 1000, false);
-    EXPECT_EQ(w, 10'000u) << "decision before the period boundary";
-  }
-  w = c.OnEpoch(w, 0, 1000, false);
-  EXPECT_EQ(w, 20'000u);
-  EXPECT_EQ(c.widens(), 1u);
-}
-
-TEST(EpochController, ClampsOutOfRangeWindowImmediately) {
-  EpochController c(ControllerConfig());
-  // Even mid-period (no decision yet) the returned window obeys the bounds:
-  // the clamp invariant is unconditional, not a decision outcome.
-  EXPECT_EQ(c.OnEpoch(200'000, 0, 0, false), 80'000u);
-  EXPECT_EQ(c.OnEpoch(1, 0, 0, false), 5'000u);
-  EXPECT_EQ(c.widens(), 0u);
-  EXPECT_EQ(c.narrows(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -485,9 +485,9 @@ TEST(SimKernel, ShardedDeterminismSweepAcrossSeedsAndThreads) {
   }
 }
 
-// The same sweep with the epoch controller live: adaptive mode consumes only
-// committed state, so the widen/narrow schedule — folded into the fingerprint
-// along with the final window — must be identical across thread counts too.
+// The same sweep with adaptive epochs: the ramp reads only the committed
+// epoch count, so the window schedule — folded into the fingerprint along
+// with the final window — must be identical across thread counts too.
 TEST(SimKernel, AdaptiveShardedDeterminismSweepAcrossSeedsAndThreads) {
   const MachineSpec machine{16, 4, "4-node mini (4x4)"};
   for (uint64_t seed = 1; seed <= 100; ++seed) {
@@ -551,7 +551,7 @@ TEST(SimKernel, EightShardsOnFourThreadsAdaptiveMatchesSerial) {
 // What one multitenant run computed, read through public accessors only:
 // the counts, the latency percentiles, every shard core's fingerprint and
 // the merge order. Unlike MultitenantResult::fingerprint it leaves out the
-// epoch schedule (epochs, idle leaps, controller decisions, final window).
+// epoch schedule (epochs, idle leaps, ramp doublings, final window).
 std::vector<uint64_t> SimulationDigest(const MultitenantConfig& cfg) {
   MultitenantSim sim(cfg);
   const MultitenantResult r = sim.Run();
