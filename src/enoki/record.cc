@@ -30,24 +30,24 @@ std::vector<RecordEntry> FlightRecorder::Tail(size_t max_entries) const {
 Recorder::Recorder(size_t ring_capacity)
     : ring_(RingBuffer<RecordEntry>::RoundUpPow2(ring_capacity)) {}
 
-void Recorder::Append(RecordEntry entry) {
+void Recorder::Append(RecordEntry entry, Time time) {
   entry.seq = next_seq_++;
-  entry.time = time_;
+  entry.time = time;
   entry.kthread = GetCurrentKthread();
   ++appended_;
   ring_.Push(entry);
 }
 
 void Recorder::OnLockCreate(uint64_t lock_id) {
-  Append(EncodeLock<RecordEntry>(RecordType::kLockCreate, lock_id));
+  Append(EncodeLock<RecordEntry>(RecordType::kLockCreate, lock_id), clock_());
 }
 
 void Recorder::OnLockAcquire(uint64_t lock_id) {
-  Append(EncodeLock<RecordEntry>(RecordType::kLockAcquire, lock_id));
+  Append(EncodeLock<RecordEntry>(RecordType::kLockAcquire, lock_id), clock_());
 }
 
 void Recorder::OnLockRelease(uint64_t lock_id) {
-  Append(EncodeLock<RecordEntry>(RecordType::kLockRelease, lock_id));
+  Append(EncodeLock<RecordEntry>(RecordType::kLockRelease, lock_id), clock_());
 }
 
 size_t Recorder::Drain() {

@@ -14,7 +14,9 @@
 #define SRC_ENOKI_RECORD_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/check.h"
@@ -101,8 +103,13 @@ class Recorder : public LockHooks {
  public:
   explicit Recorder(size_t ring_capacity);
 
-  // Producer side (scheduler context): stamps seq/kthread, pushes to ring.
-  void Append(RecordEntry entry);
+  // Producer side (scheduler context): stamps seq, the appender's `time`
+  // and the current kthread, pushes to ring.
+  void Append(RecordEntry entry, Time time);
+
+  // The clock lock entries read (0 until set): the runtime that attaches
+  // the Recorder hands over its own.
+  void SetClock(std::function<Time()> clock) { clock_ = std::move(clock); }
 
   // LockHooks: lock events become record entries.
   void OnLockCreate(uint64_t lock_id) override;
@@ -112,13 +119,6 @@ class Recorder : public LockHooks {
   // Consumer side (the userspace record task): moves ring contents to the
   // log. Returns the number of entries drained.
   size_t Drain();
-
-  // The recorder's notion of "now", which stamps every entry. The runtime
-  // sets it before the module runs, for each call and each ladder step that
-  // enters the module (checkpoint save, restore, reregister), so the lock
-  // entries the module's shim locks append carry the time of the call or
-  // step that took the lock.
-  void SetTime(Time t) { time_ = t; }
 
   const std::vector<RecordEntry>& log() const { return log_; }
   std::vector<RecordEntry> TakeLog();
@@ -137,7 +137,7 @@ class Recorder : public LockHooks {
   std::vector<RecordEntry> log_;
   uint64_t next_seq_ = 1;
   uint64_t appended_ = 0;
-  Time time_ = 0;
+  std::function<Time()> clock_ = [] { return Time{0}; };
 };
 
 }  // namespace enoki

@@ -158,7 +158,6 @@ void RecoveryLadder::ScheduleRung(Duration delay) {
         return;
       }
     }
-    rt_.StampRecorder();
     const SimCosts& costs = core()->costs();
     if (state_ == SlotState::kRollbackPending) {
       ReinstallModule(std::move(prev_module_), rt_.SwapPause(costs.upgrade_swap_ns),
@@ -304,7 +303,6 @@ void RecoveryLadder::ArmCheckpointCadence(uint64_t epoch) {
 }
 
 bool RecoveryLadder::TakeCheckpoint(EnokiSched* module, Checkpoint* out, bool* threw) {
-  rt_.StampRecorder();
   ByteWriter w;
   bool ok = false;
   try {

@@ -18,13 +18,20 @@ void EnokiRuntime::Attach(SchedCore* core) {
   module_->Attach(this);
 }
 
+void EnokiRuntime::SetRecorder(Recorder* recorder) {
+  recorder_ = recorder;
+  if (recorder != nullptr) {
+    recorder->SetClock([this] { return core_ != nullptr ? core_->now() : 0; });
+  }
+}
+
 void EnokiRuntime::AppendToRecorder(RecordType type, int cpu, uint64_t pid, uint64_t runtime,
                                     uint64_t arg0, uint64_t arg1, uint64_t arg2, uint64_t arg3,
                                     uint64_t resp0, bool has_resp, bool flag) {
-  recorder_->SetTime(core_->now());
   recorder_->Append(RecordEntry{.type = type, .pid = pid, .cpu = cpu, .runtime = runtime,
                                 .arg = {arg0, arg1, arg2, arg3}, .resp0 = resp0,
-                                .has_resp = has_resp, .flag = flag});
+                                .has_resp = has_resp, .flag = flag},
+                    core_->now());
 }
 
 // ---- The call path into the module ----
@@ -38,8 +45,6 @@ template <typename Fn>
   }
   if (e != nullptr) {
     Record(*e);
-  } else {
-    StampRecorder();
   }
   try {
     fn();
@@ -436,11 +441,9 @@ void AttachShardMergeRecorder(ShardedEventLoop& engine, Recorder* recorder) {
         e.arg[1] = static_cast<uint64_t>(src);
         e.arg[2] = static_cast<uint64_t>(dst);
         e.arg[3] = seq;
-        // Stamp with the message's simulated delivery time: commits happen
-        // at epoch barriers, outside any core's call context, so the
-        // runtime's usual pre-call SetTime has not run here.
-        recorder->SetTime(deliver_at);
-        recorder->Append(e);
+        // Stamped with the message's simulated delivery time: commits
+        // happen at epoch barriers, outside any core's call context.
+        recorder->Append(e, deliver_at);
       });
 }
 

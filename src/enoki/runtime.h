@@ -97,7 +97,10 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   const std::string& RestoreTimelineString() const { return ladder_.RestoreTimelineString(); }
 
   // ---- Record mode (section 3.4) ----
-  void SetRecorder(Recorder* recorder) { recorder_ = recorder; }
+  // Also hands `recorder` this runtime's clock for its lock entries, which
+  // it reads until another runtime attaches it: no lock event may reach it
+  // once this runtime is gone.
+  void SetRecorder(Recorder* recorder);
 
   // ---- Introspection ----
   EnokiSched* module() const { return module_.get(); }
@@ -186,14 +189,6 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
                                           uint64_t runtime, uint64_t arg0, uint64_t arg1,
                                           uint64_t arg2, uint64_t arg3, uint64_t resp0,
                                           bool has_resp, bool flag);
-  // Sets the Recorder's clock before the module runs, so the lock entries
-  // its shim locks append carry the time of the call or ladder step that
-  // takes them. Record sets it too.
-  [[gnu::always_inline]] void StampRecorder() {
-    if (recorder_ != nullptr) [[unlikely]] {
-      recorder_->SetTime(core_->now());
-    }
-  }
   // Feeds queued user hints to the module; false when the module is (or
   // went) offline.
   [[gnu::always_inline]] bool DrainHints() {
@@ -208,8 +203,8 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
   bool Requeue(int cpu, Task* t);
 
   // The one call path into the module. Notify charges `cpu` (none when
-  // negative), records `*e` (when non-null; else only stamps the Recorder's
-  // clock) and runs `fn` inside the containment boundary: an escape goes to
+  // negative), records `*e` (when non-null) and runs `fn` inside the
+  // containment boundary: an escape goes to
   // HandleEscape, a normal return (the call cost plus the module's
   // BusyWait) to the ladder. Query charges `cpu`, runs `fn` the same way
   // and, if it returned, records `e` with fn's result as resp0. Both return
