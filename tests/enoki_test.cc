@@ -1182,7 +1182,7 @@ std::vector<RecordEntry> RecordLadderRun(
 // The record stream is what replay validates against and what a CrashReport
 // shows, so the order and content of its entries is a contract: a refactor
 // of the runtime's call paths must leave every field of every entry alone.
-constexpr uint64_t kRecordStreamDigest = 0xe9f787c3705cf8d1ull;
+constexpr uint64_t kRecordStreamDigest = 0xf79087e75923d2aeull;
 
 TEST(Record, StreamDigestCoversEveryRuntimeRecordType) {
   SweepDigest digest;
