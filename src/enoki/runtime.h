@@ -204,12 +204,11 @@ class EnokiRuntime : public SchedClass, public EnokiKernelEnv {
 
   // The one call path into the module. Notify charges `cpu` (none when
   // negative), records `*e` (when non-null) and runs `fn` inside the
-  // containment boundary: an escape goes to
-  // HandleEscape, a normal return (the call cost plus the module's
-  // BusyWait) to the ladder. Query charges `cpu`, runs `fn` the same way
-  // and, if it returned, records `e` with fn's result as resp0. Both return
-  // false if the callback threw; the caller degrades per site (a thrown
-  // pick idles).
+  // containment boundary: an escape goes to HandleEscape, a normal return
+  // (the call cost plus the module's BusyWait) to the ladder. Query charges
+  // `cpu`, runs `fn` the same way and, if it returned, records `e` with
+  // fn's result as resp0. Both return false if the callback threw; the
+  // caller degrades per site (a thrown pick idles).
   template <typename Fn>
   bool Notify(int cpu, const CallRecord* e, const char* site, Fn&& fn,
               bool probation_call = true);

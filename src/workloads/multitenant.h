@@ -193,7 +193,7 @@ class MultitenantSim {
     // Folding the epoch schedule into the fingerprint makes the determinism
     // sweeps assert it directly: epochs, leaps and ramp doublings must match
     // across thread counts, not just their downstream effects. narrows is
-    // always 0 now; it stays in its place so stored fingerprints hold.
+    // always 0; it keeps its place so the stored fingerprints hold.
     h = Mix(h, prof.epochs);
     h = Mix(h, prof.idle_leaps);
     h = Mix(h, prof.widens);

@@ -862,10 +862,9 @@ SparseRun RunSparseTicks(bool adaptive, int threads) {
   return out;
 }
 
-// The ramp does not look at traffic: on a run whose every epoch leaps idle
-// time it widens the window all the same (a controller that held on
-// leap-dominated epochs kept it at epoch_ns), and the run computes what
-// the static schedule computes.
+// The ramp does not look at traffic: it widens the window even on a run
+// whose every epoch leaps idle time, and the run still computes what the
+// static schedule computes.
 TEST(ShardedDeterminism, AdaptiveRampOverIdleLeapsMatchesStatic) {
   const SparseRun fixed = RunSparseTicks(/*adaptive=*/false, 1);
   ASSERT_EQ(fixed.log.size(), 2u * 2u * 2u * 17u);  // ticks and receipts
