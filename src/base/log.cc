@@ -3,8 +3,6 @@
 namespace enoki {
 namespace {
 
-LogLevel g_level = LogLevel::kWarn;
-
 const char* LevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kError:
@@ -20,10 +18,6 @@ const char* LevelName(LogLevel level) {
 }
 
 }  // namespace
-
-LogLevel GetLogLevel() { return g_level; }
-
-void SetLogLevel(LogLevel level) { g_level = level; }
 
 void LogImpl(LogLevel level, const char* fmt, ...) {
   std::fprintf(stderr, "[%s] ", LevelName(level));

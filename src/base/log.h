@@ -1,5 +1,6 @@
-// Minimal leveled logging. Quiet by default so benchmark output stays clean;
-// tests and examples raise the level when diagnosing.
+// Minimal leveled logging to stderr. The threshold is fixed at compile time
+// (warnings and errors), so benchmark output stays clean and a message above
+// it costs nothing.
 
 #ifndef SRC_BASE_LOG_H_
 #define SRC_BASE_LOG_H_
@@ -16,19 +17,18 @@ enum class LogLevel : int {
   kDebug = 3,
 };
 
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
+inline constexpr LogLevel kLogLevel = LogLevel::kWarn;
 
 void LogImpl(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
 }  // namespace enoki
 
-#define ENOKI_LOG(level, ...)                                  \
-  do {                                                         \
-    if (static_cast<int>(level) <=                             \
-        static_cast<int>(::enoki::GetLogLevel())) {            \
-      ::enoki::LogImpl((level), __VA_ARGS__);                  \
-    }                                                          \
+#define ENOKI_LOG(level, ...)                             \
+  do {                                                    \
+    if constexpr (static_cast<int>(level) <=              \
+                  static_cast<int>(::enoki::kLogLevel)) { \
+      ::enoki::LogImpl((level), __VA_ARGS__);             \
+    }                                                     \
   } while (0)
 
 #define ENOKI_ERROR(...) ENOKI_LOG(::enoki::LogLevel::kError, __VA_ARGS__)
