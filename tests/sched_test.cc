@@ -321,6 +321,41 @@ TEST(Cfs, QueuedMaskTracksDepthsThroughARun) {
   EXPECT_GT(sim.cfs.migrations(), 0u);
 }
 
+TEST(Cfs, AffinityChangeMovesAQueuedTaskOffAForbiddenCpu) {
+  // Two tasks pinned to CPU 0: one runs, the other waits in CPU 0's queue.
+  // Narrowing the waiter's mask to CPU 3 takes it out of CPU 0's queue, and
+  // it runs next on CPU 3.
+  CfsSim sim;
+  Task* runner = sim.core.CreateTaskOn(
+      "runner", std::make_unique<CpuBoundBody>(Milliseconds(20), Milliseconds(20)), 0, 0,
+      CpuMask::Single(0));
+  auto first_cpu = std::make_shared<int>(-1);
+  Task* waiter = sim.core.CreateTaskOn(
+      "waiter", MakeFnBody([first_cpu](SimContext& ctx) -> Action {
+        if (*first_cpu >= 0) {
+          return Action::Exit();
+        }
+        *first_cpu = ctx.cpu();
+        return Action::Compute(Milliseconds(1));
+      }),
+      0, 0, CpuMask::Single(0));
+  sim.core.Start();
+  sim.core.RunFor(Milliseconds(1));
+  ASSERT_EQ(sim.core.CurrentOn(0), runner);
+  ASSERT_EQ(sim.cfs.QueueDepth(0), 1u);
+  ASSERT_EQ(*first_cpu, -1);
+
+  sim.core.SetTaskAffinity(waiter, CpuMask::Single(3));
+  EXPECT_EQ(sim.cfs.QueueDepth(0), 0u);
+  EXPECT_EQ(sim.cfs.QueueDepth(3), 1u);
+  EXPECT_EQ(waiter->cpu(), 3);
+  sim.core.RunFor(Microseconds(100));
+  EXPECT_EQ(sim.core.CurrentOn(3), waiter);
+  EXPECT_EQ(sim.core.CurrentOn(0), runner);
+  EXPECT_EQ(*first_cpu, 3);
+  EXPECT_TRUE(sim.core.RunUntilAllExit(Seconds(1)));
+}
+
 // ---- Enoki WFQ ----
 
 TEST(Wfq, EqualSharesOnOneCore) {
