@@ -65,7 +65,7 @@ Result Measure(MachineSpec spec, int workers) {
     EnokiRuntime* runtime = s.runtime.get();
     RecoveryLadder* ladder = &runtime->ladder();
     runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-    ladder->EnableSupervisor(SupervisorConfig{}, [] { return std::make_unique<WfqSched>(0); });
+    ladder->EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
     runtime->SetCheckpointInterval(Milliseconds(10));
     s.core->loop().ScheduleAfter(Seconds(1), [ladder] {
       ladder->AbortModule("bench: simulated module failure");
@@ -127,7 +127,7 @@ void Run() {
               "discarded at restore, bounded by the 10ms periodic-checkpoint cadence\n"
               "rather than by the time since the last upgrade.\n",
               static_cast<int>(SimCosts{}.fallback_pertask_ns),
-              static_cast<int>(SupervisorConfig{}.backoff_initial_ns));
+              static_cast<int>(ModuleSupervisor::kFirstBackoffNs));
 }
 
 }  // namespace

@@ -61,11 +61,10 @@ int main() {
   wcfg.starvation_bound_ns = Milliseconds(20);
   runtime.EnableWatchdog(wcfg, cfs_policy);
 
-  // Self-healing rung: up to 3 supervised restarts per rolling second, each
-  // restored from the newest valid generation in the ring. (The replacement
-  // is just as buggy — same seed — so the demo usually climbs the whole
-  // ladder.)
-  runtime.ladder().EnableSupervisor(SupervisorConfig{}, [plan] {
+  // Self-healing rung: up to 3 supervised restarts, each restored from the
+  // newest valid generation in the ring. (The replacement is just as buggy —
+  // same seed — so the demo usually climbs the whole ladder.)
+  runtime.ladder().EnableSupervisor([plan] {
     return std::make_unique<FaultInjector>(std::make_unique<WfqSched>(0), plan);
   });
 

@@ -275,18 +275,16 @@ class EnokiSched {
     return LoadCheckpointFields(this, version, CheckpointVersion(), in);
   }
 
-  // The probation budgets a freshly upgraded instance of this policy must
-  // prove itself under: EnokiRuntime::Upgrade opens the incoming module's
-  // probation window with them. Policies whose healthy shape would
-  // false-positive the generic defaults — a central dispatcher funnels
-  // every pick through one CPU, a work-stealing balancer loses benign races —
-  // loosen exactly the budget their mechanism stresses and keep the rest.
+  // The probation budgets a freshly installed instance of this policy must
+  // prove itself under: the recovery ladder opens both an upgrade's and a
+  // supervised restart's probation window with them. A policy whose healthy
+  // shape would false-positive the generic defaults loosens exactly the
+  // budget its mechanism stresses and keeps the rest.
   virtual ProbationConfig DefaultProbation() const { return ProbationConfig{}; }
 
-  // Stable identity of this module build for flap damping and checkpoint
-  // provenance: the runtime refuses upgrades to a fingerprint that keeps
-  // failing probation, and the restore walk skips ring generations saved by
-  // a different fingerprint. Folds the concrete type, the policy id, and the
+  // Stable identity of this module build for checkpoint provenance: the
+  // restore walk skips ring generations saved by a different fingerprint.
+  // Folds the concrete type, the policy id, and the
   // checkpoint format version; deterministic within one binary (which is the
   // scope every determinism comparison runs in). Never returns 0 — 0 is the
   // "unknown saver" wildcard in Checkpoint.

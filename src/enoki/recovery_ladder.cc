@@ -26,10 +26,10 @@ void RecoveryLadder::Arm(const WatchdogConfig& config, int fallback_policy) {
   }
 }
 
-void RecoveryLadder::EnableSupervisor(const SupervisorConfig& config, ModuleFactory factory) {
+void RecoveryLadder::EnableSupervisor(ModuleFactory factory) {
   ENOKI_CHECK(armed());  // the supervisor sits above the watchdog
   ENOKI_CHECK(factory != nullptr);
-  supervisor_ = std::make_unique<ModuleSupervisor>(config, std::move(factory));
+  supervisor_ = std::make_unique<ModuleSupervisor>(std::move(factory));
   // Seed the first generation so even the first restart has a restore point
   // (modules without checkpoint support restart fresh).
   CheckpointNow();
@@ -98,10 +98,10 @@ void RecoveryLadder::Trip(TripReason reason, std::string detail, uint64_t starve
   if (rt_.recorder_ != nullptr) {
     rt_.recorder_->Drain();
     const auto& log = rt_.recorder_->log();
-    const size_t n = std::min(log.size(), config_.crash_ring_entries);
+    const size_t n = std::min(log.size(), CrashReport::kLastCalls);
     report.last_calls.assign(log.end() - static_cast<std::ptrdiff_t>(n), log.end());
   } else {
-    report.last_calls = rt_.flight_.Tail(config_.crash_ring_entries);
+    report.last_calls = rt_.flight_.Tail(CrashReport::kLastCalls);
   }
   crash_report_ = std::move(report);
 
@@ -110,9 +110,6 @@ void RecoveryLadder::Trip(TripReason reason, std::string detail, uint64_t starve
   // predecessor instead of quarantining.
   if (state_ == SlotState::kUpgradeProbation) {
     Enter(SlotState::kRollbackPending);
-    // Flap damping: the incoming fingerprint failed its probation. Enough of
-    // these inside the rolling window and Upgrade() refuses the fingerprint.
-    flap_failures_.emplace_back(ModuleFingerprint(rt_.module_.get()), core()->now());
     ENOKI_WARN("enoki: watchdog tripped (%s) during upgrade probation: %s; rolling back",
                TripReasonName(crash_report_->reason), crash_report_->detail.c_str());
     ScheduleRung(0);
@@ -120,7 +117,7 @@ void RecoveryLadder::Trip(TripReason reason, std::string detail, uint64_t starve
   }
 
   // Rung 3: a supervised module restarts from its last good checkpoint
-  // after the supervisor's backoff, as long as the window budget holds.
+  // after the supervisor's backoff, as long as its restart budget holds.
   if (supervisor_ != nullptr) {
     const RestartDecision d = supervisor_->OnTrip(*crash_report_, core()->now());
     if (d.action == RecoveryAction::kRestart) {
@@ -236,10 +233,6 @@ void RecoveryLadder::Enter(SlotState next) {
   ENOKI_CHECK((kLegal[static_cast<unsigned>(state_)] & bit(next)) != 0);
   state_ = next;
   ++recovery_epoch_;
-  callback_budget_ = in_probation() ? static_cast<Duration>(
-                                          static_cast<double>(config_.callback_budget_ns) *
-                                          probation_.budget_scale)
-                                    : config_.callback_budget_ns;
 }
 
 // ---- Checkpoints ----
@@ -423,7 +416,7 @@ Duration RecoveryLadder::ReinstallModule(std::unique_ptr<EnokiSched> module, Dur
   if (restart) {
     ++module_restarts_;
     supervisor_->OnRestartComplete(core()->now(), restored);
-    BeginProbation(supervisor_->config().probation, SlotState::kRestartProbation);
+    BeginProbation(SlotState::kRestartProbation);
     e.type = RecordType::kModuleRestart;
     e.arg[0] = supervisor_->timeline().back().attempt;
   } else {
@@ -445,14 +438,18 @@ Duration RecoveryLadder::ReinstallModule(std::unique_ptr<EnokiSched> module, Dur
   return pause;
 }
 
-void RecoveryLadder::BeginProbation(const ProbationConfig& cfg, SlotState state) {
+void RecoveryLadder::BeginProbation(SlotState state) {
   ENOKI_CHECK(armed());
-  probation_ = cfg;
+  try {
+    probation_ = rt_.module_->DefaultProbation();
+  } catch (...) {
+    probation_ = ProbationConfig{};
+  }
   Enter(state);
   probation_calls_seen_ = 0;
   std::copy(std::begin(strikes_), std::end(strikes_), probation_base_);
-  if (cfg.window_ns > 0) {
-    core()->loop().ScheduleAfter(cfg.window_ns, [this, epoch = recovery_epoch_] {
+  if (probation_.window_ns > 0) {
+    core()->loop().ScheduleAfter(probation_.window_ns, [this, epoch = recovery_epoch_] {
       if (epoch == recovery_epoch_) {
         CommitProbation();
       }
@@ -488,22 +485,6 @@ UpgradeReport RecoveryLadder::Upgrade(std::unique_ptr<EnokiSched> next) {
                                          : nullptr;
   if (refusal != nullptr) {
     report.error = refusal;
-    return report;
-  }
-  // Flap damping: a fingerprint that keeps failing probation is refused
-  // outright until the rolling window drains — no chance to churn the
-  // module slot a fourth time.
-  const uint64_t fp = ModuleFingerprint(next.get());
-  report.incoming_fingerprint = fp;
-  const Time now = core()->now();
-  std::erase_if(flap_failures_, [&](auto& f) { return now - f.second > kFlapWindowNs; });
-  const uint64_t flaps = static_cast<uint64_t>(std::count_if(
-      flap_failures_.begin(), flap_failures_.end(), [&](auto& f) { return f.first == fp; }));
-  if (fp != 0 && flaps >= kFlapMaxFailures) {
-    ++fingerprint_refusals_;
-    report.error = "incoming fingerprint flapping (" + std::to_string(flaps) +
-                   " probation failures in window); upgrade refused";
-    report.refused_flapping = true;
     return report;
   }
   // Checkpoint the outgoing module *before* ReregisterPrepare disturbs its
@@ -544,10 +525,7 @@ UpgradeReport RecoveryLadder::Upgrade(std::unique_ptr<EnokiSched> next) {
       // Transaction abort: reinstall the outgoing module and restore the
       // accounting state snapshotted before prepare. Queued tasks are
       // re-injected as wakeups so nothing is lost; the broken incoming
-      // module dies having never owned a task. The rejection counts against
-      // the incoming fingerprint just like a probation trip would: it is the
-      // same "this build cannot take the slot" signal, one rung earlier.
-      flap_failures_.emplace_back(fp, core()->now());
+      // module dies having never owned a task.
       report.error =
           std::string("new module rejected transferred state; rolled back: ") + ex.what();
       report.rolled_back = true;
@@ -580,17 +558,10 @@ UpgradeReport RecoveryLadder::Upgrade(std::unique_ptr<EnokiSched> next) {
   rt_.Record(e);
   if (report.checkpointed && armed()) {
     // Probation: the outgoing module stays parked as the rollback target
-    // until the incoming one survives a window under the incoming policy's
-    // own DefaultProbation() budgets — a central dispatcher and a
-    // work-stealing balancer do not false-positive on the same thresholds.
+    // until the incoming one survives a window under its own
+    // DefaultProbation() budgets.
     prev_module_ = std::move(outgoing);
-    ProbationConfig probation;
-    try {
-      probation = rt_.module_->DefaultProbation();
-    } catch (...) {
-      probation = ProbationConfig{};
-    }
-    BeginProbation(probation, SlotState::kUpgradeProbation);
+    BeginProbation(SlotState::kUpgradeProbation);
   }
   if (!*consumed) {
     // The incoming module did not take the transfer (different policy, or

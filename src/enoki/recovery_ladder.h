@@ -2,11 +2,11 @@
 // (DESIGN.md "Recovery ladder"). It owns the upgrade transaction, the slot
 // state (which is also the probation window), the watchdog's strikes and
 // callback budget, the checkpoint ring and its cadence, the restore walk,
-// the reinstall, flap damping and the supervisor.
+// the reinstall and the supervisor.
 // Each EnokiRuntime holds one, armed or not, and the ladder reaches back into
 // it (as a friend) for the module slot, the queued tasks and the record path.
 // Unarmed, nothing trips and module exceptions propagate, but the checkpoint
-// ring, the init-failure rollback and flap damping still work.
+// ring and the init-failure rollback still work.
 
 #ifndef SRC_ENOKI_RECOVERY_LADDER_H_
 #define SRC_ENOKI_RECOVERY_LADDER_H_
@@ -15,8 +15,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "src/base/time.h"
 #include "src/enoki/api.h"
@@ -37,8 +35,6 @@ struct UpgradeReport {
   std::string error;
   bool checkpointed = false;  // outgoing state captured before the swap
   bool rolled_back = false;   // post-swap init failure undone from the checkpoint
-  bool refused_flapping = false;      // refused by flap damping (kFlapMaxFailures)
-  uint64_t incoming_fingerprint = 0;  // VersionFingerprint() of `next`
 };
 
 class RecoveryLadder {
@@ -57,10 +53,11 @@ class RecoveryLadder {
   bool armed() const { return latency_ != nullptr; }
 
   // Arms the supervisor above the watchdog: trips become supervised
-  // restart-from-checkpoint attempts (exponential backoff, budgeted per
-  // window) and only escalate to quarantine+CFS once the budget is spent.
-  // Requires Arm first; `factory` builds fresh module instances.
-  void EnableSupervisor(const SupervisorConfig& config, ModuleFactory factory);
+  // restart-from-checkpoint attempts (ModuleSupervisor's backoff and
+  // budget) and only escalate to quarantine+CFS once the budget is spent.
+  // Requires Arm first; `factory` builds fresh module instances, and each
+  // restarted instance proves itself under its own DefaultProbation().
+  void EnableSupervisor(ModuleFactory factory);
 
   // sysrq-style operator abort: trips at once with TripReason::kManual
   // (requires Arm).
@@ -126,8 +123,8 @@ class RecoveryLadder {
   void ParkOffline(const Task* t);
 
   // ---- The live upgrade (section 3.2; EnokiRuntime::Upgrade forwards) ----
-  // One transaction. It refuses a null, offline, on-probation or flapping
-  // upgrade before any quiesce (no pause, no count), checkpoints the
+  // One transaction. It refuses a null, offline or on-probation upgrade
+  // before any quiesce (no pause, no count), checkpoints the
   // outgoing module before ReregisterPrepare, swaps, and calls the incoming
   // module's ReregisterInit. An init throw reinstalls the checkpointed
   // predecessor, or, with no checkpoint, leaves the broken module installed
@@ -139,12 +136,6 @@ class RecoveryLadder {
   UpgradeReport Upgrade(std::unique_ptr<EnokiSched> next);
   // Successful swaps.
   uint64_t upgrades() const { return upgrades_; }
-
-  // Flap damping: after kFlapMaxFailures failed upgrades (probation trips or
-  // init rejections) of one incoming fingerprint within kFlapWindowNs,
-  // upgrades to that fingerprint are refused until the window drains.
-  static constexpr uint64_t kFlapMaxFailures = 3;
-  static constexpr Duration kFlapWindowNs = Milliseconds(50);
 
   // ---- The slot state ----
   // The module slot's rung; DESIGN.md "Recovery ladder" lists the legal
@@ -172,10 +163,8 @@ class RecoveryLadder {
   const EnokiSched* rollback_target() const { return prev_module_.get(); }
   const std::optional<CrashReport>& crash_report() const { return crash_report_; }
   ModuleSupervisor* supervisor() const { return supervisor_.get(); }
-  // The budgets of the newest probation window, and the callback budget in
-  // force (scaled by budget_scale while a window is open).
+  // The budgets of the newest probation window.
   const ProbationConfig& probation() const { return probation_; }
-  Duration effective_callback_budget() const { return callback_budget_; }
   const CheckpointStore& checkpoint_store() const { return checkpoints_; }
   // Mutable ring access for fault sweeps and fixtures (ring-slot bit-rot,
   // ring capacity).
@@ -193,7 +182,6 @@ class RecoveryLadder {
   uint64_t restore_fallbacks() const { return restore_fallbacks_; }
   uint64_t periodic_checkpoints() const { return periodic_checkpoints_; }
   uint64_t checkpoint_save_failures() const { return checkpoint_save_failures_; }
-  uint64_t fingerprint_refusals() const { return fingerprint_refusals_; }
   // Ring depth consumed by the most recent restore walk (1 = newest
   // generation loaded cleanly; larger = generations were skipped) and the
   // simulated work window lost with it (now - taken_at of the generation
@@ -218,8 +206,8 @@ class RecoveryLadder {
   // the predecessor, kRestartPending a fresh instance, and kQuarantined
   // re-policies every task of the runtime's class onto fallback_policy_.
   void ScheduleRung(Duration delay);
-  // Moves the slot along a legal edge (ENOKI_CHECKed), re-derives the
-  // callback budget and bumps recovery_epoch_.
+  // Moves the slot along a legal edge (ENOKI_CHECKed) and bumps
+  // recovery_epoch_.
   void Enter(SlotState next);
   // Walks the generation ring newest→oldest, dropping (and logging) every
   // generation that fails its checksum, was saved by another module
@@ -243,8 +231,9 @@ class RecoveryLadder {
   // re-injects the queued tasks, charges every CPU `pause` plus the per-task
   // restore cost, records the rung and kicks every CPU. Returns the pause.
   Duration ReinstallModule(std::unique_ptr<EnokiSched> module, Duration pause, const char* what);
-  // Enters a probation `state` under `cfg` and arms its window timer.
-  void BeginProbation(const ProbationConfig& cfg, SlotState state);
+  // Enters a probation `state` under the installed module's
+  // DefaultProbation() and arms its window timer.
+  void BeginProbation(SlotState state);
   // Probation survived: drop the rollback target and checkpoint the module.
   void CommitProbation();
 
@@ -287,10 +276,6 @@ class RecoveryLadder {
   Duration checkpoint_interval_ = 0;
   uint64_t cadence_epoch_ = 0;
 
-  // Version-fingerprint flap damping: (fingerprint, failure time) pairs,
-  // appended in simulated-time order; Upgrade drops the expired ones.
-  std::vector<std::pair<uint64_t, Time>> flap_failures_;
-
   std::string restore_log_;
 
   uint64_t upgrades_ = 0;
@@ -301,7 +286,6 @@ class RecoveryLadder {
   uint64_t restore_fallbacks_ = 0;
   uint64_t periodic_checkpoints_ = 0;
   uint64_t checkpoint_save_failures_ = 0;
-  uint64_t fingerprint_refusals_ = 0;
   uint64_t last_restore_depth_ = 0;
   Duration last_restore_age_ns_ = 0;
 };

@@ -242,9 +242,10 @@ class FaultInjector : public EnokiSched {
     return inner_->LoadCheckpoint(version, in);
   }
 
-  // Probation budgets and flap-damping identity belong to the real module:
-  // the decorator is transparent, so fingerprint refusal of a flapping build
-  // keeps working when the sweep wraps every candidate in an injector.
+  // Probation budgets and checkpoint identity belong to the real module:
+  // the decorator is transparent, so the restore walk matches generations
+  // saved by the inner module when a sweep wraps every candidate in an
+  // injector.
   ProbationConfig DefaultProbation() const override { return inner_->DefaultProbation(); }
   uint64_t VersionFingerprint() const override { return inner_->VersionFingerprint(); }
 

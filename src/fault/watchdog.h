@@ -59,15 +59,12 @@ struct WatchdogConfig {
   // A runnable task not dispatched for longer than this trips the watchdog.
   // Also installed as SchedCore's starvation-scan bound. 0 disables.
   Duration starvation_bound_ns = Milliseconds(100);
-
-  // How many trailing record entries (the module's last calls) to capture
-  // into the CrashReport: from the Recorder's log when one is attached,
-  // otherwise from the always-on flight ring.
-  size_t crash_ring_entries = 32;
 };
 
-// Tightened watchdog budgets applied while a freshly installed module (a
-// just-upgraded or just-restarted one) proves itself. Violation counters are
+// Tightened strike limits applied while a freshly installed module (a
+// just-upgraded or just-restarted one) proves itself; the module's own
+// DefaultProbation() supplies them, and the callback budget stays the
+// watchdog's. Violation counters are
 // measured from the start of the window, not from module load, so an old
 // module's accumulated errors cannot condemn its successor. Both limits may
 // be active at once; probation ends at whichever is reached first.
@@ -77,9 +74,6 @@ struct ProbationConfig {
 
   // Watchdog-observed callbacks the module must survive. 0 = time-only.
   uint64_t window_calls = 512;
-
-  // Callback-budget multiplier during probation (< 1 tightens).
-  double budget_scale = 0.5;
 
   // Violation thresholds within the window (counted from its start).
   uint64_t max_escaped_exceptions = 1;
@@ -92,6 +86,10 @@ struct ProbationConfig {
 // the fallback, and the last calls into the module (from the Recorder's log
 // when one is attached, otherwise from the runtime's flight ring).
 struct CrashReport {
+  // How many trailing record entries (the module's last calls) the report
+  // captures.
+  static constexpr size_t kLastCalls = 32;
+
   TripReason reason = TripReason::kNone;
   std::string detail;
   Time tripped_at = 0;

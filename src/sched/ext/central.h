@@ -59,16 +59,6 @@ class CentralSched : public TokenQueueSched<CentralSched, CentralEnt> {
   void CheckpointFields(CheckpointArchive* ar) override;
   uint32_t CheckpointVersion() const override { return 1; }
 
-  // Per-policy probation budget: central dispatch routes every decision
-  // through the dispatch CPU, so a restored module naturally bounces a few
-  // picks while the pulse timer re-arms — a tight pick budget would flap.
-  // Window length and call count stay at the ladder defaults.
-  ProbationConfig DefaultProbation() const override {
-    ProbationConfig p;
-    p.max_pick_errors = 8;
-    return p;
-  }
-
   // Introspection for tests.
   int central_cpu() const { return central_cpu_; }
   uint64_t dispatch_pulses();

@@ -73,16 +73,6 @@ class RustySched : public TokenQueueSched<RustySched, RustyEnt> {
   void CheckpointFields(CheckpointArchive* ar) override;
   uint32_t CheckpointVersion() const override { return 1; }
 
-  // Per-policy probation budget: rusty's greedy stealing probes queues on
-  // other domains, so benign balance misses are routine right after a restore
-  // (running averages decayed, steal bans reset). Loosen the balance budget;
-  // window length and call count stay at the ladder defaults.
-  ProbationConfig DefaultProbation() const override {
-    ProbationConfig p;
-    p.max_balance_errors = 64;
-    return p;
-  }
-
   // Introspection for tests.
   uint64_t DomainLoad(int domain);  // decayed average as of now
   int ndomains();

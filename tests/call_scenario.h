@@ -25,10 +25,20 @@ namespace {
 // WFQ that misbehaves once in each of three ways a healthy run never shows:
 // its first pick returns a stale token (pnt_err; the real token comes back
 // through PntErr), its first balance offers a pid no CPU holds
-// (balance_err), and its first tick arms a policy timer.
+// (balance_err), and its first tick arms a policy timer. A nonzero
+// `probation_window` makes its probation a time-only window of that length.
 class RecordStreamWfq : public WfqSched {
  public:
-  RecordStreamWfq() : WfqSched(0) {}
+  explicit RecordStreamWfq(Duration probation_window = 0)
+      : WfqSched(0), probation_window_(probation_window) {}
+  ProbationConfig DefaultProbation() const override {
+    ProbationConfig p;
+    if (probation_window_ > 0) {
+      p.window_ns = probation_window_;
+      p.window_calls = 0;
+    }
+    return p;
+  }
   void Attach(EnokiKernelEnv* env) override {
     env_ = env;
     WfqSched::Attach(env);
@@ -70,6 +80,7 @@ class RecordStreamWfq : public WfqSched {
   }
 
  private:
+  const Duration probation_window_;
   EnokiKernelEnv* env_ = nullptr;
   std::optional<Schedulable> stash_;
   bool forged_ = false;

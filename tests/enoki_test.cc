@@ -1155,10 +1155,8 @@ std::vector<RecordEntry> RecordLadderRun(
       also_arm(runtime);
     }
     runtime.EnableWatchdog(WatchdogConfig{}, cfs_policy);
-    SupervisorConfig scfg;
-    scfg.probation.window_ns = Microseconds(200);
-    scfg.probation.window_calls = 0;
-    runtime.ladder().EnableSupervisor(scfg, [] { return std::make_unique<RecordStreamWfq>(); });
+    runtime.ladder().EnableSupervisor(
+        [] { return std::make_unique<RecordStreamWfq>(Microseconds(200)); });
   };
   auto ladder = [](SchedCore& core, EnokiRuntime& runtime) {
     runtime.ladder().CheckpointNow();

@@ -592,7 +592,7 @@ TEST(PortfolioSupervisor, EachPolicyRestartsFromItsOwnCheckpoint) {
   for (const PortfolioPolicy& policy : Portfolio()) {
     FaultStack s = MakeFaultStack(policy.make(), policy.spec);
     s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-    s.runtime->ladder().EnableSupervisor(SupervisorConfig{}, policy.make);
+    s.runtime->ladder().EnableSupervisor(policy.make);
     EnokiRuntime* rt = s.runtime.get();
     s.core->loop().ScheduleAfter(Milliseconds(1),
                                  [rt] { rt->ladder().AbortModule("injected abort"); });

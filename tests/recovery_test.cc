@@ -21,8 +21,6 @@
 #include "src/fault/supervisor.h"
 #include "src/fault/watchdog.h"
 #include "src/sched/cfs.h"
-#include "src/sched/ext/central.h"
-#include "src/sched/ext/rusty.h"
 #include "src/sched/ghost.h"
 #include "src/sched/locality.h"
 #include "src/sched/nest.h"
@@ -129,23 +127,32 @@ TEST(VersionFingerprint, StablePerBuildDistinctAcrossPolicies) {
   EXPECT_NE(a.VersionFingerprint(), n.VersionFingerprint());  // type folded
 }
 
-TEST(DefaultProbation, PoliciesDeclareTheirOwnBudgets) {
+// WFQ that loosens one probation budget, the pick-error limit, and keeps
+// the rest at the ladder defaults.
+class LoosePickWfq : public WfqSched {
+ public:
+  LoosePickWfq() : WfqSched(0) {}
+  ProbationConfig DefaultProbation() const override {
+    ProbationConfig p;
+    p.max_pick_errors = 8;
+    return p;
+  }
+};
+
+TEST(DefaultProbation, ModulesDeclareTheirOwnBudgets) {
   const ProbationConfig base;
-  CentralSched central(0);
-  EXPECT_EQ(central.DefaultProbation().max_pick_errors, 8u);
-  EXPECT_EQ(central.DefaultProbation().window_ns, base.window_ns);
-  EXPECT_EQ(central.DefaultProbation().window_calls, base.window_calls);
-  RustySched rusty(0);
-  EXPECT_EQ(rusty.DefaultProbation().max_balance_errors, 64u);
-  EXPECT_EQ(rusty.DefaultProbation().window_ns, base.window_ns);
+  LoosePickWfq loose;
+  EXPECT_EQ(loose.DefaultProbation().max_pick_errors, 8u);
+  EXPECT_EQ(loose.DefaultProbation().window_ns, base.window_ns);
+  EXPECT_EQ(loose.DefaultProbation().window_calls, base.window_calls);
   // Policies without an override keep the ladder defaults.
   WfqSched wfq(0);
   EXPECT_EQ(wfq.DefaultProbation().max_pick_errors, base.max_pick_errors);
   // Decorators are transparent: the inner module's budgets and identity win.
   FaultPlan plan;
-  FaultInjector inj(std::make_unique<CentralSched>(0), plan);
+  FaultInjector inj(std::make_unique<LoosePickWfq>(), plan);
   EXPECT_EQ(inj.DefaultProbation().max_pick_errors, 8u);
-  EXPECT_EQ(inj.VersionFingerprint(), CentralSched(0).VersionFingerprint());
+  EXPECT_EQ(inj.VersionFingerprint(), LoosePickWfq().VersionFingerprint());
 }
 
 // ---- Policy checkpoint round-trips (locality / nest / ghost) ----
@@ -452,8 +459,7 @@ std::unique_ptr<FaultInjector> InjectedWfq(FaultPlan plan) {
 TEST(GenerationRing, RestoreSkipsCorruptGenerationsInOrder) {
   FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  s.runtime->ladder().EnableSupervisor(SupervisorConfig{},
-                                       [] { return std::make_unique<WfqSched>(0); });
+  s.runtime->ladder().EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
   EnokiRuntime* rt = s.runtime.get();
   // Three generations: the supervisor's seed plus two explicit saves.
   s.core->loop().ScheduleAfter(Milliseconds(1),
@@ -500,8 +506,7 @@ TEST(GenerationRing, RestoreSkipsForeignAndRefusedGenerations) {
   // The walk must pass over both and restore the supervisor's seed.
   FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  s.runtime->ladder().EnableSupervisor(SupervisorConfig{},
-                                       [] { return std::make_unique<WfqSched>(0); });
+  s.runtime->ladder().EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
   EnokiRuntime* rt = s.runtime.get();
   s.core->loop().ScheduleAfter(Milliseconds(1), [rt] {
     ASSERT_EQ(rt->ladder().checkpoint_store().size(), 1u);
@@ -561,8 +566,7 @@ TEST(PeriodicCadence, SavesGenerationsAndSurvivesRestartDeterministically) {
   auto drive = [] {
     FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
     s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-    s.runtime->ladder().EnableSupervisor(SupervisorConfig{},
-                                [] { return std::make_unique<WfqSched>(0); });
+    s.runtime->ladder().EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
     s.runtime->SetCheckpointInterval(Microseconds(500));
     EnokiRuntime* rt = s.runtime.get();
     s.core->loop().ScheduleAfter(Milliseconds(3),
@@ -643,7 +647,7 @@ TEST(PeriodicCadence, MidCadenceCrashEscalatesAndLosesNoTasks) {
   plan.checkpoint_crash_rate = 1.0;
   FaultStack s = MakeFaultStack(InjectedWfq(plan));
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  s.runtime->ladder().EnableSupervisor(SupervisorConfig{}, [] {
+  s.runtime->ladder().EnableSupervisor([] {
     FaultPlan p;
     p.seed = 21;
     p.checkpoint_crash_rate = 1.0;
@@ -662,104 +666,41 @@ TEST(PeriodicCadence, MidCadenceCrashEscalatesAndLosesNoTasks) {
   EXPECT_GE(rt->module_restarts() + (rt->quarantined() ? 1u : 0u), 1u);
 }
 
-// ---- Flap damping ----
-
-TEST(FlapDamping, RepeatedProbationFailuresRefuseTheFingerprint) {
-  FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
-  s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  EnokiRuntime* rt = s.runtime.get();
-  auto misbehaving = [] {
-    FaultPlan plan;
-    plan.seed = 5;
-    plan.probation_misbehave_rate = 1.0;
-    return InjectedWfq(plan);
-  };
-  // Three upgrades of the same build, each tripping inside probation.
-  for (int i = 1; i <= 3; ++i) {
-    s.core->loop().ScheduleAfter(Milliseconds(2 * i), [rt, misbehaving, i] {
-      auto report = rt->Upgrade(misbehaving());
-      EXPECT_TRUE(report.ok) << "upgrade " << i;
-      EXPECT_NE(report.incoming_fingerprint, 0u);
-    });
-  }
-  // The fourth is refused outright: same fingerprint, three failures inside
-  // the rolling window. No quiesce, no pause.
-  s.core->loop().ScheduleAfter(Milliseconds(8), [rt, misbehaving] {
-    auto report = rt->Upgrade(misbehaving());
-    EXPECT_FALSE(report.ok);
-    EXPECT_TRUE(report.refused_flapping);
-    EXPECT_EQ(report.pause_ns, 0);
-    EXPECT_NE(report.error.find("flapping"), std::string::npos);
-    // A different build (different policy id => different fingerprint) is
-    // not damped by the flapping one's failures.
-    auto other = rt->Upgrade(std::make_unique<WfqSched>(1));
-    EXPECT_FALSE(other.refused_flapping);
-  });
-  PipeBenchConfig cfg;
-  cfg.messages = 16000;
-  auto r = RunPipeBench(*s.core, s.enoki_policy, cfg);
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(rt->rollbacks(), 3u);
-  EXPECT_EQ(rt->ladder().fingerprint_refusals(), 1u);
-}
-
-TEST(FlapDamping, WindowDrainAllowsTheFingerprintAgain) {
-  // Three failures of one fingerprint inside 50 ms refuse it; once the
-  // oldest failure is more than 50 ms old, the fingerprint is admitted.
-  static_assert(RecoveryLadder::kFlapMaxFailures == 3);
-  static_assert(RecoveryLadder::kFlapWindowNs == Milliseconds(50));
-  FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
-  s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  EnokiRuntime* rt = s.runtime.get();
-  auto misbehaving = [] {
-    FaultPlan plan;
-    plan.seed = 7;
-    plan.probation_misbehave_rate = 1.0;
-    return InjectedWfq(plan);
-  };
-  for (int i = 1; i <= 3; ++i) {
-    s.core->loop().ScheduleAfter(Milliseconds(i), [rt, misbehaving] {
-      EXPECT_TRUE(rt->Upgrade(misbehaving()).ok);  // fails probation, rolls back
-    });
-  }
-  // The first failure came just after 1 ms: at 51 ms it is still inside the
-  // window, at 52 ms it has drained.
-  s.core->loop().ScheduleAfter(Milliseconds(51), [rt, misbehaving] {
-    EXPECT_EQ(rt->rollbacks(), 3u);
-    EXPECT_TRUE(rt->Upgrade(misbehaving()).refused_flapping);
-  });
-  s.core->loop().ScheduleAfter(Milliseconds(52), [rt, misbehaving] {
-    auto report = rt->Upgrade(misbehaving());
-    EXPECT_FALSE(report.refused_flapping);
-    EXPECT_TRUE(report.ok);
-  });
-  PipeBenchConfig cfg;
-  cfg.messages = 12000;
-  auto r = RunPipeBench(*s.core, s.enoki_policy, cfg);
-  EXPECT_TRUE(r.completed);
-  s.core->RunUntil(Milliseconds(53));
-  EXPECT_EQ(rt->ladder().fingerprint_refusals(), 1u);
-  EXPECT_EQ(rt->ladder().upgrades(), 4u);
-}
-
 // ---- Per-policy probation through the runtime ----
 
 TEST(UpgradeProbation, UsesIncomingModulesDefaultBudgets) {
-  FaultStack s = MakeFaultStack(std::make_unique<CentralSched>(0));
+  FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
   EnokiRuntime* rt = s.runtime.get();
   s.core->loop().ScheduleAfter(Milliseconds(1), [rt] {
-    auto report = rt->Upgrade(std::make_unique<CentralSched>(0));
+    auto report = rt->Upgrade(std::make_unique<LoosePickWfq>());
     EXPECT_TRUE(report.ok);
     ASSERT_TRUE(rt->ladder().in_probation());
-    // The incoming CentralSched's own (looser pick) budget governs the
-    // window.
+    // The incoming module's own (looser pick) budget governs the window.
     EXPECT_EQ(rt->ladder().probation().max_pick_errors, 8u);
   });
   PipeBenchConfig cfg;
   cfg.messages = 8000;
   auto r = RunPipeBench(*s.core, s.enoki_policy, cfg);
   EXPECT_TRUE(r.completed);
+}
+
+TEST(RestartProbation, UsesRestartedModulesDefaultBudgets) {
+  FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
+  s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
+  s.runtime->ladder().EnableSupervisor([] { return std::make_unique<LoosePickWfq>(); });
+  EnokiRuntime* rt = s.runtime.get();
+  s.core->loop().ScheduleAfter(Milliseconds(1), [rt] { rt->ladder().AbortModule("abort"); });
+  s.core->loop().ScheduleAfter(Milliseconds(1) + ModuleSupervisor::kFirstBackoffNs * 2, [rt] {
+    ASSERT_EQ(rt->ladder().slot_state(), RecoveryLadder::SlotState::kRestartProbation);
+    // The restarted module's own (looser pick) budget governs the window.
+    EXPECT_EQ(rt->ladder().probation().max_pick_errors, 8u);
+  });
+  PipeBenchConfig cfg;
+  cfg.messages = 8000;
+  auto r = RunPipeBench(*s.core, s.enoki_policy, cfg);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(rt->module_restarts(), 1u);
 }
 
 // ---- The 100-seed sweep (acceptance criteria) ----
@@ -802,7 +743,7 @@ RingSweepOutcome RunRingSweep(uint64_t seed) {
   WatchdogConfig cfg;
   cfg.starvation_bound_ns = Milliseconds(20);
   s.runtime->EnableWatchdog(cfg, s.cfs_policy);
-  s.runtime->ladder().EnableSupervisor(SupervisorConfig{}, [seed] {
+  s.runtime->ladder().EnableSupervisor([seed] {
     return InjectedWfq(FaultPlan::UpgradeMenu(seed, /*checkpoint_faults=*/true));
   });
   s.runtime->ladder().mutable_checkpoint_store()->set_capacity(3);

@@ -298,55 +298,45 @@ CrashReport FakeReport(TripReason reason = TripReason::kManual) {
   return r;
 }
 
-TEST(Supervisor, BackoffIsExponentialAndClamped) {
-  SupervisorConfig cfg;
-  cfg.backoff_initial_ns = Microseconds(50);
-  cfg.backoff_multiplier = 2;
-  cfg.backoff_max_ns = Milliseconds(5);
-  ModuleSupervisor sup(cfg, [] { return std::make_unique<WfqSched>(0); });
-  EXPECT_EQ(sup.BackoffFor(1), Microseconds(50));
-  EXPECT_EQ(sup.BackoffFor(2), Microseconds(100));
-  EXPECT_EQ(sup.BackoffFor(3), Microseconds(200));
-  EXPECT_EQ(sup.BackoffFor(30), Milliseconds(5));  // clamped, no overflow
+TEST(Supervisor, BackoffDoublesPerAttempt) {
+  static_assert(ModuleSupervisor::kRestartBudget == 3);
+  EXPECT_EQ(ModuleSupervisor::BackoffFor(1), Microseconds(50));
+  EXPECT_EQ(ModuleSupervisor::BackoffFor(2), Microseconds(100));
+  EXPECT_EQ(ModuleSupervisor::BackoffFor(3), Microseconds(200));
 }
 
-TEST(Supervisor, WindowBudgetExhaustionEscalates) {
-  SupervisorConfig cfg;
-  cfg.restart_budget = 2;
-  cfg.restart_window_ns = Seconds(1);
-  ModuleSupervisor sup(cfg, [] { return std::make_unique<WfqSched>(0); });
+TEST(Supervisor, BudgetExhaustionEscalatesForGood) {
+  ModuleSupervisor sup([] { return std::make_unique<WfqSched>(0); });
+  Duration last_backoff = 0;
+  for (uint64_t attempt = 1; attempt <= 3; ++attempt) {
+    const Time at = Milliseconds(2 * attempt);
+    const RestartDecision d = sup.OnTrip(FakeReport(), at - Milliseconds(1));
+    EXPECT_EQ(d.action, RecoveryAction::kRestart);
+    EXPECT_EQ(d.attempt, attempt);
+    EXPECT_GT(d.backoff_ns, last_backoff);
+    last_backoff = d.backoff_ns;
+    sup.OnRestartComplete(at, true);
+  }
 
-  auto d1 = sup.OnTrip(FakeReport(), Milliseconds(1));
-  EXPECT_EQ(d1.action, RecoveryAction::kRestart);
-  EXPECT_EQ(d1.attempt, 1u);
-  sup.OnRestartComplete(Milliseconds(2), true);
-
-  auto d2 = sup.OnTrip(FakeReport(), Milliseconds(3));
-  EXPECT_EQ(d2.action, RecoveryAction::kRestart);
-  EXPECT_EQ(d2.attempt, 2u);
-  EXPECT_GT(d2.backoff_ns, d1.backoff_ns);
-  sup.OnRestartComplete(Milliseconds(4), true);
-
-  // Budget spent inside the same window: escalate.
-  auto d3 = sup.OnTrip(FakeReport(), Milliseconds(5));
-  EXPECT_EQ(d3.action, RecoveryAction::kQuarantine);
+  // Budget spent: escalate.
+  EXPECT_EQ(sup.OnTrip(FakeReport(), Milliseconds(7)).action, RecoveryAction::kQuarantine);
   EXPECT_EQ(sup.escalations(), 1u);
 
-  // A trip a full window later opens a fresh budget.
-  auto d4 = sup.OnTrip(FakeReport(), Milliseconds(5) + Seconds(1));
-  EXPECT_EQ(d4.action, RecoveryAction::kRestart);
-  EXPECT_EQ(d4.attempt, 1u);
+  // The budget covers the module's life: a trip a second later still
+  // escalates.
+  EXPECT_EQ(sup.OnTrip(FakeReport(), Milliseconds(7) + Seconds(1)).action,
+            RecoveryAction::kQuarantine);
 
   EXPECT_EQ(sup.restarts_decided(), 3u);
-  EXPECT_EQ(sup.history().size(), 4u);
-  EXPECT_EQ(sup.timeline().size(), 2u);
-  EXPECT_NE(sup.TimelineString().find("restart attempt=1"), std::string::npos);
+  EXPECT_EQ(sup.escalations(), 2u);
+  EXPECT_EQ(sup.history().size(), 5u);
+  EXPECT_EQ(sup.timeline().size(), 3u);
+  EXPECT_NE(sup.TimelineString().find("restart attempt=3"), std::string::npos);
 }
 
 TEST(Supervisor, TimelineStringIsDeterministic) {
   auto drive = [] {
-    SupervisorConfig cfg;
-    ModuleSupervisor sup(cfg, [] { return std::make_unique<WfqSched>(0); });
+    ModuleSupervisor sup([] { return std::make_unique<WfqSched>(0); });
     sup.OnTrip(FakeReport(TripReason::kPickErrors), Microseconds(700));
     sup.OnRestartComplete(Microseconds(760), true);
     sup.OnTrip(FakeReport(TripReason::kEscapedException), Milliseconds(2));
@@ -362,8 +352,7 @@ TEST(Supervisor, TimelineStringIsDeterministic) {
 TEST(SupervisedRuntime, RestartRecoversWithoutCfsFallback) {
   FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  s.runtime->ladder().EnableSupervisor(SupervisorConfig{},
-                                       [] { return std::make_unique<WfqSched>(0); });
+  s.runtime->ladder().EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
   EnokiRuntime* rt = s.runtime.get();
   s.core->loop().ScheduleAfter(Milliseconds(1),
                                [rt] { rt->ladder().AbortModule("injected abort"); });
@@ -381,25 +370,26 @@ TEST(SupervisedRuntime, RestartRecoversWithoutCfsFallback) {
   ASSERT_EQ(rt->ladder().supervisor()->timeline().size(), 1u);
   const RestartEvent& ev = rt->ladder().supervisor()->timeline()[0];
   EXPECT_EQ(ev.attempt, 1u);
-  EXPECT_EQ(ev.backoff_ns, SupervisorConfig{}.backoff_initial_ns);
+  EXPECT_EQ(ev.backoff_ns, ModuleSupervisor::kFirstBackoffNs);
   EXPECT_GE(ev.restarted_at, ev.tripped_at + ev.backoff_ns);
 }
 
 TEST(SupervisedRuntime, BudgetExhaustionEscalatesToQuarantine) {
   FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  SupervisorConfig scfg;
-  scfg.restart_budget = 1;
-  s.runtime->ladder().EnableSupervisor(scfg, [] { return std::make_unique<WfqSched>(0); });
+  s.runtime->ladder().EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
   EnokiRuntime* rt = s.runtime.get();
-  s.core->loop().ScheduleAfter(Milliseconds(1), [rt] { rt->ladder().AbortModule("first abort"); });
-  s.core->loop().ScheduleAfter(Milliseconds(2), [rt] { rt->ladder().AbortModule("second abort"); });
+  // Four trips, each after the previous restart completed: three restarts
+  // spend the budget and the fourth escalates.
+  for (int i = 1; i <= 4; ++i) {
+    s.core->loop().ScheduleAfter(Milliseconds(i), [rt] { rt->ladder().AbortModule("abort"); });
+  }
   PipeBenchConfig cfg;
   cfg.messages = 2000;
   auto r = RunPipeBench(*s.core, s.enoki_policy, cfg);
   // Tasks survive the terminal rung on CFS.
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(rt->module_restarts(), 1u);
+  EXPECT_EQ(rt->module_restarts(), ModuleSupervisor::kRestartBudget);
   EXPECT_TRUE(rt->quarantined());
   EXPECT_TRUE(rt->ladder().fallback_done());
   EXPECT_EQ(rt->ladder().supervisor()->escalations(), 1u);
@@ -410,8 +400,7 @@ TEST(SupervisedRuntime, CorruptCheckpointIsDetectedNotDeserialized) {
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
   CheckpointSaboteur sab(99, 1.0);
   s.runtime->ladder().SetCheckpointSaboteur(&sab);  // every checkpoint rots in storage
-  s.runtime->ladder().EnableSupervisor(SupervisorConfig{},
-                                       [] { return std::make_unique<WfqSched>(0); });
+  s.runtime->ladder().EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
   EXPECT_GE(sab.corruptions(), 1u);
   EnokiRuntime* rt = s.runtime.get();
   s.core->loop().ScheduleAfter(Milliseconds(1), [rt] { rt->ladder().AbortModule("abort"); });
@@ -431,8 +420,7 @@ TEST(SupervisedRuntime, CorruptCheckpointIsDetectedNotDeserialized) {
 TEST(SupervisedRuntime, SurvivingProbationCommitsAndRefreshesCheckpoint) {
   FaultStack s = MakeFaultStack(std::make_unique<WfqSched>(0));
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  s.runtime->ladder().EnableSupervisor(SupervisorConfig{},
-                                       [] { return std::make_unique<WfqSched>(0); });
+  s.runtime->ladder().EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
   const uint64_t seeded_seq = s.runtime->ladder().checkpoint_store().newest()->sequence;
   EnokiRuntime* rt = s.runtime.get();
   s.core->loop().ScheduleAfter(Milliseconds(1), [rt] { rt->ladder().AbortModule("abort"); });
@@ -454,8 +442,7 @@ TEST(SupervisedRuntime, EveryRestoredCheckpointWasSavedInTheRecordStream) {
   Recorder recorder(1 << 20);
   s.runtime->SetRecorder(&recorder);
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  s.runtime->ladder().EnableSupervisor(SupervisorConfig{},
-                                       [] { return std::make_unique<WfqSched>(0); });
+  s.runtime->ladder().EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
   EnokiRuntime* rt = s.runtime.get();
   s.core->loop().ScheduleAfter(Milliseconds(1), [rt] {
     EXPECT_TRUE(rt->Upgrade(std::make_unique<WfqSched>(0)).ok);
@@ -626,10 +613,9 @@ TEST(LadderStateWalk, EveryStateReachedThroughThePublicApi) {
   // fingerprint and each restore may load any generation on the ring.
   FaultStack s = MakeFaultStack(std::make_unique<ShortProbationWfq>());
   s.runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
-  SupervisorConfig scfg;
-  scfg.probation.window_ns = Milliseconds(1);  // restart probation closes by time only
-  scfg.probation.window_calls = 0;
-  s.runtime->ladder().EnableSupervisor(scfg, [] { return std::make_unique<ShortProbationWfq>(); });
+  // Restart probation closes by time only, after 1 ms.
+  s.runtime->ladder().EnableSupervisor(
+      [] { return std::make_unique<ShortProbationWfq>(Milliseconds(1)); });
   s.runtime->SetCheckpointInterval(Microseconds(200));
   EnokiRuntime* rt = s.runtime.get();
   LadderWalk walk;
@@ -683,8 +669,8 @@ TEST(LadderStateWalk, EveryStateReachedThroughThePublicApi) {
   step(Milliseconds(1), SlotState::kActive);
   EXPECT_EQ(rt->ladder().supervisor()->healthy_commits(), 2u);
 
-  // A trip inside restart probation restarts again until the budget (3 per
-  // window) is spent; the next one quarantines.
+  // A trip inside restart probation restarts again until the budget of 3
+  // restarts is spent; the next one quarantines.
   rt->ladder().AbortModule("restart 2");
   step(0, SlotState::kRestartPending);
   step(Microseconds(500), SlotState::kRestartProbation);
@@ -786,11 +772,7 @@ class LadderModel {
         rt_(s_.runtime.get()),
         edges_(edges) {
     s_.runtime->EnableWatchdog(WatchdogConfig{}, s_.cfs_policy);
-    SupervisorConfig scfg;
-    scfg.probation.window_ns = Microseconds(500);
-    scfg.probation.window_calls = 0;
-    s_.runtime->ladder().EnableSupervisor(scfg,
-                                          [] { return std::make_unique<ShortProbationWfq>(); });
+    s_.runtime->ladder().EnableSupervisor([] { return std::make_unique<ShortProbationWfq>(); });
     s_.runtime->SetCheckpointInterval(Microseconds(250));
     walk_.rt = rt_;
     s_.core->Start();
@@ -824,7 +806,7 @@ class LadderModel {
         Advance(kRestartWait);
         break;
       case LadderEvent::kExhaustBudget: {
-        const uint64_t budget = rt_->ladder().supervisor()->config().restart_budget;
+        const uint64_t budget = ModuleSupervisor::kRestartBudget;
         for (int i = 0; i < 16 && !rt_->quarantined() &&
                         rt_->ladder().supervisor()->restarts_decided() < budget;
              ++i) {
@@ -1043,8 +1025,7 @@ SupervisorSweepOutcome RunSupervisorSweep(uint64_t seed) {
   cfg.max_pick_errors = 8;
   cfg.starvation_bound_ns = Milliseconds(20);
   s.runtime->EnableWatchdog(cfg, s.cfs_policy);
-  s.runtime->ladder().EnableSupervisor(SupervisorConfig{},
-                              [seed] { return InjectedWfq(FaultPlan::FullMenu(seed)); });
+  s.runtime->ladder().EnableSupervisor([seed] { return InjectedWfq(FaultPlan::FullMenu(seed)); });
   PipeBenchConfig pcfg;
   pcfg.messages = 300;
   auto r = RunPipeBench(*s.core, s.enoki_policy, pcfg);
