@@ -927,7 +927,7 @@ TEST(LadderModelCheck, EverySequenceOfUpToFourEventsKeepsTheInvariants) {
 
 // Digests of all seeds' outcomes (see tests/sweep_digest.h).
 constexpr uint64_t kUpgradeSweepDigest = 0x0ba703c22084a944ull;
-constexpr uint64_t kSupervisorSweepDigest = 0x213a02288ec70387ull;
+constexpr uint64_t kSupervisorSweepDigest = 0xabeac65afa7f98b7ull;
 
 struct UpgradeSweepOutcome {
   bool completed = false;
