@@ -14,9 +14,14 @@
 // wakeup re-injection), reported as trip-to-reinstall latency. It sits
 // between the upgrade pause and a full fallback — the cost of keeping the
 // custom policy instead of surrendering to CFS.
+//
+// The bench checks the claims it prints and exits 1 when one breaks.
+// `--json=<path>` writes every column as a row (bench_common.h BenchJson).
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "src/fault/supervisor.h"
@@ -26,17 +31,20 @@
 namespace enoki {
 namespace {
 
+constexpr Duration kCadence = Milliseconds(10);
+
+// Every figure in simulated nanoseconds, so the checks compare exactly.
 struct Result {
-  double upgrade_pause_us = 0;
-  double restart_latency_us = 0;
-  double fallback_pause_us = 0;
+  Duration upgrade_pause_ns = 0;
+  Duration restart_latency_ns = 0;
+  Duration fallback_pause_ns = 0;
   uint64_t tasks_repolicied = 0;
   // Generation-ring telemetry from the supervised restart: how deep into the
   // ring the restore walked (1 = newest generation loaded cleanly) and the
-  // simulated work window lost — trip time minus the loaded generation's
-  // capture time, bounded by the periodic-checkpoint cadence.
+  // simulated work window lost (trip time minus the loaded generation's
+  // capture time).
   uint64_t restore_depth = 0;
-  double work_lost_us = 0;
+  Duration work_lost_ns = 0;
 };
 
 Result Measure(MachineSpec spec, int workers) {
@@ -52,7 +60,7 @@ Result Measure(MachineSpec spec, int workers) {
     EnokiRuntime* runtime = s.runtime.get();
     s.core->loop().ScheduleAfter(Seconds(1), [runtime, &r] {
       auto report = runtime->Upgrade(std::make_unique<WfqSched>(0));
-      if (report.ok) r.upgrade_pause_us = ToMicroseconds(report.pause_ns);
+      if (report.ok) r.upgrade_pause_ns = report.pause_ns;
     });
     RunSchbench(*s.core, s.policy, cfg);
   }
@@ -66,16 +74,16 @@ Result Measure(MachineSpec spec, int workers) {
     RecoveryLadder* ladder = &runtime->ladder();
     runtime->EnableWatchdog(WatchdogConfig{}, s.cfs_policy);
     ladder->EnableSupervisor([] { return std::make_unique<WfqSched>(0); });
-    runtime->SetCheckpointInterval(Milliseconds(10));
+    runtime->SetCheckpointInterval(kCadence);
     s.core->loop().ScheduleAfter(Seconds(1), [ladder] {
       ladder->AbortModule("bench: simulated module failure");
     });
     RunSchbench(*s.core, s.policy, cfg);
     if (!ladder->supervisor()->timeline().empty()) {
       const RestartEvent& ev = ladder->supervisor()->timeline().front();
-      r.restart_latency_us = ToMicroseconds(ev.restarted_at - ev.tripped_at);
+      r.restart_latency_ns = ev.restarted_at - ev.tripped_at;
       r.restore_depth = ladder->last_restore_depth();
-      r.work_lost_us = ToMicroseconds(ladder->last_restore_age_ns());
+      r.work_lost_ns = ladder->last_restore_age_ns();
     }
   }
   {
@@ -88,14 +96,23 @@ Result Measure(MachineSpec spec, int workers) {
     });
     RunSchbench(*s.core, s.policy, cfg);
     if (ladder->crash_report()) {
-      r.fallback_pause_us = ToMicroseconds(ladder->crash_report()->fallback_pause_ns);
+      r.fallback_pause_ns = ladder->crash_report()->fallback_pause_ns;
       r.tasks_repolicied = ladder->crash_report()->tasks_repolicied;
     }
   }
   return r;
 }
 
-void Run() {
+// Prints one claim's verdict; false when it broke.
+bool Check(bool ok, const std::string& what) {
+  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what.c_str());
+  return ok;
+}
+
+int Run(int argc, char** argv) {
+  BenchJson json("bench_fault_fallback", argc, argv);
+  const Duration backoff = ModuleSupervisor::kFirstBackoffNs;
+  const Duration pertask = SimCosts{}.fallback_pertask_ns;
   std::printf("Fault containment: watchdog-fallback pause vs live-upgrade pause\n"
               "(schbench running; trip/upgrade fired at t=1s)\n\n");
   std::printf("%-40s %10s %10s %10s %8s %6s %10s\n", "Machine / workload", "upgrade", "restart",
@@ -104,36 +121,65 @@ void Run() {
     MachineSpec spec;
     int workers;
   };
+  // Two worker counts per machine, fewer first.
   const Case cases[] = {
       {MachineSpec::OneSocket8(), 2},
       {MachineSpec::OneSocket8(), 16},
       {MachineSpec::TwoSocket80(), 2},
       {MachineSpec::TwoSocket80(), 40},
   };
-  for (const Case& c : cases) {
-    const Result r = Measure(c.spec, c.workers);
+  Result results[std::size(cases)];
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    results[i] = Measure(c.spec, c.workers);
+    const Result& r = results[i];
     std::printf("%-33s 2x%-3d %8.1fus %8.1fus %8.1fus %8llu %6llu %8.1fus\n", c.spec.name.c_str(),
-                c.workers, r.upgrade_pause_us, r.restart_latency_us, r.fallback_pause_us,
+                c.workers, ToMicroseconds(r.upgrade_pause_ns), ToMicroseconds(r.restart_latency_ns),
+                ToMicroseconds(r.fallback_pause_ns),
                 static_cast<unsigned long long>(r.tasks_repolicied),
-                static_cast<unsigned long long>(r.restore_depth), r.work_lost_us);
+                static_cast<unsigned long long>(r.restore_depth), ToMicroseconds(r.work_lost_ns));
+    const std::string config = c.spec.name + " 2x" + std::to_string(c.workers);
+    json.Row(config, "upgrade_pause_us", ToMicroseconds(r.upgrade_pause_ns));
+    json.Row(config, "restart_latency_us", ToMicroseconds(r.restart_latency_ns));
+    json.Row(config, "fallback_pause_us", ToMicroseconds(r.fallback_pause_ns));
+    json.Row(config, "tasks_repolicied", static_cast<double>(r.tasks_repolicied));
+    json.Row(config, "restore_depth", static_cast<double>(r.restore_depth));
+    json.Row(config, "work_lost_us", ToMicroseconds(r.work_lost_ns));
   }
   std::printf("\nShape check: all three grow ~linearly with core count; the fallback\n"
-              "pause exceeds the upgrade pause by ~%d ns per rescued task, so crashing a\n"
+              "pause exceeds the upgrade pause by ~%llu ns per rescued task, so crashing a\n"
               "module stays in the same cost class as upgrading it. The supervised\n"
-              "restart latency is dominated by its deliberate backoff (%d ns on the\n"
-              "first attempt) — the recovery work itself costs about one upgrade.\n"
+              "restart latency is its deliberate backoff (%llu ns on the first\n"
+              "attempt) — the recovery work itself costs about one upgrade.\n"
               "depth is how deep the restore walked the generation ring (1 = the\n"
               "newest generation loaded cleanly); lost is the simulated work window\n"
-              "discarded at restore, bounded by the 10ms periodic-checkpoint cadence\n"
-              "rather than by the time since the last upgrade.\n",
-              static_cast<int>(SimCosts{}.fallback_pertask_ns),
-              static_cast<int>(ModuleSupervisor::kFirstBackoffNs));
+              "discarded at restore, bounded by the %llums periodic-checkpoint cadence\n"
+              "plus the first backoff (the trip takes the module offline, so the\n"
+              "cadence tick at the trip's instant skips its save), rather than by the\n"
+              "time since the last upgrade.\n\n",
+              static_cast<unsigned long long>(pertask), static_cast<unsigned long long>(backoff),
+              static_cast<unsigned long long>(kCadence / Milliseconds(1)));
+
+  bool ok = true;
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const Result& r = results[i];
+    const std::string row = cases[i].spec.name + " 2x" + std::to_string(cases[i].workers) + ": ";
+    ok &= Check(r.restart_latency_ns == backoff, row + "restart latency = first backoff");
+    ok &= Check(r.restore_depth == 1, row + "restore depth = 1");
+    ok &= Check(r.work_lost_ns <= kCadence + backoff, row + "lost <= cadence + first backoff");
+    ok &= Check(r.fallback_pause_ns >= r.upgrade_pause_ns, row + "fallback pause >= upgrade pause");
+    if (i % 2 == 1) {
+      const Result& fewer = results[i - 1];
+      const uint64_t extra = r.tasks_repolicied - fewer.tasks_repolicied;
+      ok &= Check(r.fallback_pause_ns - fewer.fallback_pause_ns == extra * pertask,
+                  cases[i].spec.name + ": fallback pause grows by " + std::to_string(pertask) +
+                      " ns per rescued task");
+    }
+  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace enoki
 
-int main() {
-  enoki::Run();
-  return 0;
-}
+int main(int argc, char** argv) { return enoki::Run(argc, argv); }
