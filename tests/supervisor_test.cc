@@ -309,13 +309,12 @@ TEST(Supervisor, BudgetExhaustionEscalatesForGood) {
   ModuleSupervisor sup([] { return std::make_unique<WfqSched>(0); });
   Duration last_backoff = 0;
   for (uint64_t attempt = 1; attempt <= 3; ++attempt) {
-    const Time at = Milliseconds(2 * attempt);
-    const RestartDecision d = sup.OnTrip(FakeReport(), at - Milliseconds(1));
+    const RestartDecision d = sup.OnTrip(FakeReport(), Milliseconds(2 * attempt - 1));
     EXPECT_EQ(d.action, RecoveryAction::kRestart);
     EXPECT_EQ(d.attempt, attempt);
     EXPECT_GT(d.backoff_ns, last_backoff);
     last_backoff = d.backoff_ns;
-    sup.OnRestartComplete(at, true);
+    sup.OnRestartComplete(Milliseconds(2 * attempt), true);
   }
 
   // Budget spent: escalate.
